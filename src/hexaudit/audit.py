@@ -1,26 +1,43 @@
 """The intersection-number auditor.
 
 For a line set L and each relevant dimension d, the auditor needs the
-multiset of counts |L_U| over d-subspaces U.  Every axiom admits count
-zero, so it is enough to visit the subspaces incident with at least one
-line: for each line of L, enumerate the d-subspaces through it and
-accumulate.  A subspace containing k lines is then visited exactly k
-times, so the accumulated multiplicity *is* |L_U| (scheme
-"multiplicity-sum", recorded in the report).  For H(3) this replaces
-~10^8 subspaces by ~10^6 incidences.
+multiset of counts |L_U| over the d-subspaces U meeting L, that is,
+containing at least one line of L; every axiom admits count zero, so
+the other subspaces never matter.  ``"dedup_scheme": "multiplicity-sum"``
+in the report is the report-format name for this multiset, kept byte
+for byte so that reports stay comparable.
 
-A naive full-enumeration audit is kept alongside as an oracle; both
-must produce identical histograms.
+The counts come from a dual-hyperplane bitset kernel that runs in one
+process:
+
+* Every hyperplane h, a point of the dual space indexed through the
+  ambient point table, gets an int bitmask B[h] of the lines of L inside
+  it.  The masks are filled by walking the points of each line's
+  annihilator, ``nullspace(key)``.
+* A d-subspace U is cut out by the n-d rows of its annihilator's RREF,
+  so |L_U| is the popcount of the AND of B over those rows.
+* Annihilator RREFs are enumerated pivot set first.  Once the pivots are
+  fixed the rows are independent, so the walk goes row by row, carries
+  the partial AND, and skips every completion once it reaches 0.
+* The canonical basis of U, the nullspace of the annihilator rows, is
+  computed only for subspaces whose count violates an axiom; the
+  byte-minimal one is the witness.
+
+Two slower count sources are kept as referees and must give identical
+reports: closure enumeration (every d-subspace through every line,
+hashed, in ``_closure_counts``) and the naive full enumeration of all
+d-subspaces (``naive_audit``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .lineset import LineSet
-from .pg import PG, Subspace, gaussian_binomial
+from .pg import Subspace
 
 DEDUP_SCHEME = "multiplicity-sum"
 
@@ -154,91 +171,159 @@ def count_in(ls: LineSet, u: Subspace) -> int:
     )
 
 
-# -- closure enumeration of per-subspace counts --
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(space_key, lines):
-    from .pg import projective_space
-
-    _WORKER_STATE["space"] = projective_space(*space_key)
-    _WORKER_STATE["lines"] = lines
+def _violates(rule, c: int) -> bool:
+    return c not in rule if isinstance(rule, set) else c > rule
 
 
-def _count_chunk(args):
-    d, lo, hi = args
-    space: PG = _WORKER_STATE["space"]
-    lines = _WORKER_STATE["lines"]
+# -- count sources --
+#
+# A count source is called as ``source(d, bad)`` and returns the
+# histogram {|L_U|: number of U} over the d-subspaces U meeting L, plus
+# (canonical basis of U, |L_U|) for at least every U whose count is in
+# ``bad``.
+
+
+class _DualCounts:
+    """The dual-hyperplane bitset kernel (see the module docstring)."""
+
+    def __init__(self, ls: LineSet):
+        self.ls = ls
+        self._choices: dict = {}
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """B[h], the bitmask of the lines inside hyperplane h."""
+        space = self.ls.space
+        index = space.point_index
+        masks = [0] * len(space.points)
+        for li, key in enumerate(self.ls.lines):
+            bit = 1 << li
+            for h in Subspace(space, space.nullspace(key), canonical=True).points():
+                masks[index[h]] |= bit
+        return masks
+
+    def _row_choices(self, pivot: int, free: tuple[int, ...]):
+        """Hyperplanes h with B[h] != 0 among the RREF rows with this pivot
+        and these free columns, and their masks, as two parallel tuples."""
+        memo = self._choices.get((pivot, free))
+        if memo is not None:
+            return memo
+        space = self.ls.space
+        index, masks = space.point_index, self.masks
+        hyps = []
+        row = [0] * space.width
+        row[pivot] = 1
+        for vals in itertools.product(range(space.q), repeat=len(free)):
+            for j, v in zip(free, vals):
+                row[j] = v
+            h = index[tuple(row)]
+            if masks[h]:
+                hyps.append(h)
+        memo = self._choices[(pivot, free)] = (
+            tuple(hyps), tuple(masks[h] for h in hyps)
+        )
+        return memo
+
+    def __call__(self, d: int, bad: frozenset):
+        space = self.ls.space
+        width = space.width
+        k = space.n - d
+        if k == 0:
+            m = len(self.ls.lines)
+            rows = space.whole_space().rows
+            return {m: 1}, ([(rows, m)] if m in bad else [])
+        tally: Counter = Counter()
+        update = tally.update
+        flagged = []
+        last = k - 1
+
+        def walk(levels, depth, acc, hyps_so_far):
+            hyps, ms = levels[depth]
+            if depth == last:
+                cs = list(map(int.bit_count, map(acc.__and__, ms)))
+                update(cs)
+                if bad and not bad.isdisjoint(cs):
+                    flagged.extend(
+                        (hyps_so_far + (h,), c) for h, c in zip(hyps, cs) if c in bad
+                    )
+                return
+            for h, m in zip(hyps, ms):
+                a = acc & m
+                if a:
+                    walk(levels, depth + 1, a, hyps_so_far + (h,))
+
+        full = (1 << len(self.ls.lines)) - 1
+        for pivots in itertools.combinations(range(width), k):
+            levels = [
+                self._row_choices(
+                    p, tuple(j for j in range(p + 1, width) if j not in pivots)
+                )
+                for p in pivots
+            ]
+            # Rows are independent: put the longest choice list innermost,
+            # where the AND and popcount run in C over the whole list.
+            levels.sort(key=lambda lv: len(lv[0]))
+            walk(levels, 0, full, ())
+        tally.pop(0, None)
+        points = space.points
+        bases = [
+            (space.nullspace([points[h] for h in hyps]), c) for hyps, c in flagged
+        ]
+        return dict(tally), bases
+
+
+def _closure_counts(ls: LineSet, d: int) -> dict[bytes, int]:
+    """Map (flattened canonical basis) -> |L_U| over d-subspaces meeting L,
+    by hashing every d-subspace through every line (the closure referee)."""
+    if d == ls.n:
+        # The whole space: every line is inside it.
+        rows = ls.space.whole_space().rows
+        return {bytes(x for row in rows for x in row): len(ls.lines)}
     counts: dict[bytes, int] = {}
     get = counts.get
-    for key in lines[lo:hi]:
-        for rows in space.subspaces_through_rows(key, d):
+    for key in ls.lines:
+        for rows in ls.space.subspaces_through_rows(key, d):
             b = bytes(x for row in rows for x in row)
             counts[b] = get(b, 0) + 1
     return counts
 
 
-def _closure_counts(ls: LineSet, d: int, threads: int = 1) -> dict[bytes, int]:
-    """Map (flattened canonical basis) -> |L_U| over d-subspaces meeting L."""
-    if d == ls.n:
-        # The whole space: every line is inside it.
-        rows = ls.space.whole_space().rows
-        return {bytes(x for row in rows for x in row): len(ls.lines)}
-    if threads > 1 and len(ls.lines) >= 2 * threads:
-        chunk = (len(ls.lines) + threads - 1) // threads
-        jobs = [
-            (d, lo, min(lo + chunk, len(ls.lines)))
-            for lo in range(0, len(ls.lines), chunk)
+def _naive_counts(ls: LineSet, d: int) -> dict[bytes, int]:
+    """The same map by testing every d-subspace of the space."""
+    counts: dict[bytes, int] = {}
+    for sub in ls.space.enumerate_subspaces(d):
+        c = count_in(ls, sub)
+        if c:
+            counts[bytes(x for row in sub.rows for x in row)] = c
+    return counts
+
+
+def _dict_source(ls: LineSet, counts_of):
+    """A count source over a full ``counts_of(ls, d)`` map per dimension."""
+    width = ls.space.width
+
+    def source(d: int, bad: frozenset):
+        counts = counts_of(ls, d)
+        hist: dict[int, int] = {}
+        for c in counts.values():
+            hist[c] = hist.get(c, 0) + 1
+        flagged = [
+            (tuple(tuple(b[i : i + width]) for i in range(0, len(b), width)), c)
+            for b, c in counts.items()
+            if c in bad
         ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            threads, initializer=_init_worker, initargs=(ls.space.key, ls.lines)
-        ) as pool:
-            partials = pool.map(_count_chunk, jobs)
-        merged: dict[bytes, int] = {}
-        for part in partials:
-            for b, c in part.items():
-                merged[b] = merged.get(b, 0) + c
-        return merged
-    _init_worker(ls.space.key, ls.lines)
-    return _count_chunk((d, 0, len(ls.lines)))
+        return hist, flagged
 
-
-def _hist_and_verdicts(counts: dict[bytes, int], axioms, q, width):
-    hist: dict[int, int] = {}
-    for c in counts.values():
-        hist[c] = hist.get(c, 0) + 1
-    results = {}
-    for axiom in axioms:
-        rule = axiom_allowed(axiom, q)
-        if isinstance(rule, set):
-            bad = lambda c: c not in rule  # noqa: E731
-        else:
-            bad = lambda c: c > rule  # noqa: E731
-        witness = None
-        if any(bad(c) for c in hist):
-            wkey = min(b for b, c in counts.items() if bad(c))
-            witness = tuple(
-                tuple(wkey[i : i + width]) for i in range(0, len(wkey), width)
-            )
-        results[axiom] = (witness is None, witness)
-    return hist, results
+    return source
 
 
 def default_threads() -> int:
-    env = os.environ.get("HEXAUDIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """The audit runs in one process, so this is always 1."""
+    return 1
 
 
-def audit(ls: LineSet, cfg: AxiomConfig, threads: int = 1) -> AuditReport:
-    """Audit the enabled axioms; verdicts, witnesses and count histograms.
-
-    Dimensions are enumerated by closure over the lines of the set; the
-    (To) and (6d) verdicts come from the totals.
-    """
+def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
+    """Audit the enabled axioms, taking per-dimension counts from ``source``."""
     if not ls.lines:
         raise ValueError("cannot audit an empty line set")
     q = ls.q
@@ -265,19 +350,26 @@ def audit(ls: LineSet, cfg: AxiomConfig, threads: int = 1) -> AuditReport:
         )
     dims = sorted({_AXIOM_DIM[a] for a in enabled if a in _AXIOM_DIM})
     for d in dims:
-        axioms_d = [a for a in report.axioms if _AXIOM_DIM.get(a) == d]
+        rules = {
+            a: axiom_allowed(a, q) for a in report.axioms if _AXIOM_DIM.get(a) == d
+        }
         if d > ls.n:
             # No such subspaces in this ambient space: vacuously satisfied.
-            for a in axioms_d:
+            for a in rules:
                 report.verdicts[a] = True
                 report.witnesses[a] = None
             continue
-        counts = _closure_counts(ls, d, threads=threads)
-        hist, results = _hist_and_verdicts(counts, axioms_d, q, ls.space.width)
+        bad = frozenset(
+            c
+            for c in range(1, len(ls.lines) + 1)
+            if any(_violates(rule, c) for rule in rules.values())
+        )
+        hist, flagged = source(d, bad)
         report.histograms[d] = hist
-        for a, (ok, witness) in results.items():
-            report.verdicts[a] = ok
-            report.witnesses[a] = witness
+        for a, rule in rules.items():
+            hits = [rows for rows, c in flagged if _violates(rule, c)]
+            report.verdicts[a] = not hits
+            report.witnesses[a] = min(hits) if hits else None
     if "To" in enabled:
         bound = q**5 + q**4 + q**3 + q**2 + q + 1
         report.verdicts["To"] = len(ls.lines) <= bound
@@ -288,57 +380,18 @@ def audit(ls: LineSet, cfg: AxiomConfig, threads: int = 1) -> AuditReport:
     return report
 
 
+def audit(ls: LineSet, cfg: AxiomConfig) -> AuditReport:
+    """Audit the enabled axioms; verdicts, witnesses and count histograms.
+
+    Per-dimension counts come from the dual-hyperplane kernel; the (To)
+    and (6d) verdicts come from the totals.
+    """
+    return _audit(ls, cfg, _DualCounts(ls))
+
+
 def naive_audit(ls: LineSet, cfg: AxiomConfig) -> AuditReport:
     """Oracle audit by full subspace enumeration; must match `audit` exactly."""
-    if not ls.lines:
-        raise ValueError("cannot audit an empty line set")
-    q = ls.q
-    report = AuditReport(
-        n=ls.n,
-        q=q,
-        num_lines=len(ls.lines),
-        num_points=len(ls.point_lines),
-        span_dim=ls.span_dim(),
-        axioms=cfg.enabled(),
-    )
-    enabled = set(cfg.enabled())
-    if "Pt" in enabled:
-        hist = {}
-        for line_ids in ls.point_lines.values():
-            hist[len(line_ids)] = hist.get(len(line_ids), 0) + 1
-        report.histograms[0] = hist
-        bad_pts = sorted(
-            pi for pi, line_ids in ls.point_lines.items() if len(line_ids) != q + 1
-        )
-        report.verdicts["Pt"] = not bad_pts
-        report.witnesses["Pt"] = (
-            None if not bad_pts else (ls.space.points[bad_pts[0]],)
-        )
-    dims = sorted({_AXIOM_DIM[a] for a in enabled if a in _AXIOM_DIM})
-    for d in dims:
-        axioms_d = [a for a in report.axioms if _AXIOM_DIM.get(a) == d]
-        if d > ls.n:
-            for a in axioms_d:
-                report.verdicts[a] = True
-                report.witnesses[a] = None
-            continue
-        counts: dict[bytes, int] = {}
-        for sub in ls.space.enumerate_subspaces(d):
-            c = count_in(ls, sub)
-            if c:
-                counts[bytes(x for row in sub.rows for x in row)] = c
-        hist, results = _hist_and_verdicts(counts, axioms_d, q, ls.space.width)
-        report.histograms[d] = hist
-        for a, (ok, witness) in results.items():
-            report.verdicts[a] = ok
-            report.witnesses[a] = witness
-    if "To" in enabled:
-        report.verdicts["To"] = len(ls.lines) <= q**5 + q**4 + q**3 + q**2 + q + 1
-        report.witnesses["To"] = None
-    if "6d" in enabled:
-        report.verdicts["6d"] = q > 3 or report.span_dim >= 6
-        report.witnesses["6d"] = None
-    return report
+    return _audit(ls, cfg, _dict_source(ls, _naive_counts))
 
 
 @dataclass

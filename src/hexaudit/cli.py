@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import AxiomConfig, audit, default_threads
+from .audit import AxiomConfig, audit
 from .errors import InternalConsistencyError
 from .formats import dump_lineset, dumps_report, load_lineset, report_document
 from .gf import is_prime_power
@@ -57,23 +57,25 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load(path: str):
+def _load_nonempty(path: str):
     text = Path(path).read_text()
-    return load_lineset(text), text
+    ls = load_lineset(text)
+    if not ls.lines:
+        raise ValueError(f"{path}: the line set is empty")
+    return ls, text
 
 
 def cmd_audit(args) -> int:
     try:
-        ls, text = _load(args.infile)
+        ls, text = _load_nonempty(args.infile)
+        if args.axioms:
+            cfg = AxiomConfig.from_names(args.axioms.split(","))
+        else:
+            cfg = AxiomConfig.all()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.axioms:
-        cfg = AxiomConfig.from_names(args.axioms.split(","))
-    else:
-        cfg = AxiomConfig.all()
-    threads = args.threads if args.threads else default_threads()
-    rep = audit(ls, cfg, threads=threads)
+    rep = audit(ls, cfg)
     doc = report_document("audit", rep.to_dict(), source_text=text)
     _write(args.out, dumps_report(doc))
     for a in rep.axioms:
@@ -86,7 +88,7 @@ def cmd_audit(args) -> int:
 
 def cmd_polygon(args) -> int:
     try:
-        ls, _ = _load(args.infile)
+        ls, _ = _load_nonempty(args.infile)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -149,7 +151,8 @@ def cmd_search(args) -> int:
     try:
         spec_doc = json.loads(Path(args.spec).read_text())
         spec = SearchSpec.from_dict(spec_doc)
-    except (OSError, ValueError, KeyError) as exc:
+        projective_space(spec.n, spec.q)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = run_search(spec)
@@ -181,8 +184,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--axioms", default=None, help="comma list, e.g. Pt,Pl,Sd (default: all)")
     p.add_argument("--out", default="-")
-    p.add_argument("--threads", type=int, default=0,
-                   help="audit workers (default: HEXAUDIT_THREADS or cpu count)")
     p.set_defaults(func=cmd_audit)
 
     p = subs.add_parser("polygon", help="find a k-gon in a line-set file")

@@ -178,9 +178,6 @@ class GF:
     def element(self, code: int) -> "FieldElement":
         return FieldElement(self, code)
 
-    def elements(self):
-        return [FieldElement(self, c) for c in range(self.q)]
-
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q
 

@@ -69,9 +69,6 @@ class LineSet:
     def lines_through(self, point_index: int) -> tuple[int, ...]:
         return self.point_lines.get(point_index, ())
 
-    def line_subspace(self, line_id: int) -> Subspace:
-        return Subspace(self.space, self.lines[line_id], canonical=True)
-
     def span_rows(self) -> tuple:
         rows = [r for key in self.lines for r in key]
         return self.space.rref(rows)

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexaudit.audit import (
     AxiomConfig,
+    _audit,
+    _closure_counts,
+    _dict_source,
     audit,
     axiom_allowed,
     count_in,
@@ -111,10 +115,6 @@ class TestHexagonAudit:
         cfg = AxiomConfig.all()
         assert audit(h2, cfg).to_dict() == audit(h2, cfg).to_dict()
 
-    def test_threads_do_not_change_the_report(self, h2):
-        cfg = AxiomConfig.all()
-        assert audit(h2, cfg, threads=2).to_dict() == audit(h2, cfg).to_dict()
-
 
 class TestViolations:
     def test_two_concurrent_lines_fail_pt(self):
@@ -191,6 +191,63 @@ class TestOracleEquivalence:
             assert fast.histograms == slow.histograms
             assert fast.verdicts == slow.verdicts
             assert fast.witnesses == slow.witnesses
+
+
+def closure_audit(ls, cfg):
+    return _audit(ls, cfg, _dict_source(ls, _closure_counts))
+
+
+class TestDualKernel:
+    """The dual-hyperplane kernel against the closure and naive referees,
+    whole report dicts: histograms, verdicts and witnesses."""
+
+    def test_h2_matches_naive(self, h2):
+        cfg = AxiomConfig.all()
+        assert audit(h2, cfg).to_dict() == naive_audit(h2, cfg).to_dict()
+
+    @pytest.mark.parametrize("extra_line", [False, True])
+    def test_h3_matches_closure_planes_and_hyperplanes(self, h3, extra_line):
+        ls = h3
+        if extra_line:
+            # A line through a covered point outside the hexagon, so the
+            # plane and hyperplane witnesses are non-trivial.
+            space = h3.space
+            key = next(
+                space.rref((a, b))
+                for a in (space.points[p] for p in h3.point_lines)
+                for b in space.points
+                if a != b and space.rref((a, b)) not in h3
+            )
+            ls = LineSet(space, h3.lines + (key,), canonical=True)
+        cfg = AxiomConfig(pl=True, hp=True, hp_prime=True)
+        rep = audit(ls, cfg)
+        assert rep.to_dict() == closure_audit(ls, cfg).to_dict()
+        assert rep.passed != extra_line
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    def test_random_sets_match_closure_and_naive(self, space_key, pairs):
+        space = projective_space(*space_key)
+        pts = space.points
+        keys = set()
+        for a, b in pairs:
+            a, b = a % len(pts), b % len(pts)
+            if a != b:
+                keys.add(space.rref((pts[a], pts[b])))
+        if not keys:
+            keys.add(space.rref((pts[0], pts[1])))
+        ls = LineSet(space, keys, canonical=True)
+        cfg = AxiomConfig.all()
+        dual = audit(ls, cfg).to_dict()
+        assert dual == closure_audit(ls, cfg).to_dict()
+        assert dual == naive_audit(ls, cfg).to_dict()
 
 
 class TestExpansionBound:

@@ -17,6 +17,18 @@ def run_cli(*args, cwd=None):
     )
 
 
+def assert_one_error_line(err, needle):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+@pytest.fixture()
+def empty_file(tmp_path):
+    path = tmp_path / "empty.pgls"
+    path.write_text("PGLS 1\nn 3\nq 2\n")
+    return path
+
+
 class TestBuild:
     def test_build_q2(self, tmp_path):
         out = tmp_path / "h2.pgls"
@@ -46,9 +58,7 @@ class TestAudit:
 
     def test_audit_pass(self, h2_file, tmp_path, capsys):
         rep = tmp_path / "rep.json"
-        code = main(
-            ["audit", "--in", str(h2_file), "--out", str(rep), "--threads", "1"]
-        )
+        code = main(["audit", "--in", str(h2_file), "--out", str(rep)])
         assert code == 0
         assert "Pt: pass" in capsys.readouterr().out
         doc = json.loads(rep.read_text())
@@ -78,6 +88,14 @@ class TestAudit:
     def test_audit_missing_file(self, capsys):
         assert main(["audit", "--in", "/nonexistent.pgls"]) == 2
 
+    def test_audit_unknown_axiom_is_usage_error(self, h2_file, capsys):
+        assert main(["audit", "--in", str(h2_file), "--axioms", "Foo"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "unknown axiom name")
+
+    def test_audit_empty_file_is_usage_error(self, empty_file, capsys):
+        assert main(["audit", "--in", str(empty_file)]) == 2
+        assert_one_error_line(capsys.readouterr().err, "empty")
+
     def test_audit_report_deterministic(self, h2_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["audit", "--in", str(h2_file), "--out", str(r1)])
@@ -106,6 +124,12 @@ class TestPolygon:
 
     def test_bad_k(self, h2_file, capsys):
         assert main(["polygon", "--in", str(h2_file), "--k", "9"]) == 2
+
+    def test_empty_file_is_usage_error(self, empty_file, capsys):
+        assert main(["polygon", "--in", str(empty_file), "--k", "6", "--graph"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err, "empty")
 
 
 class TestClassify4:
@@ -170,6 +194,19 @@ class TestSearch:
         spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Zz"]}))
         assert main(["search", "--spec", str(spec)]) == 2
         assert "bad search spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"n": 11, "q": 2, "axioms": ["Pt"]}, "ambient dimension 11"),
+            ([], "bad search spec"),
+        ],
+    )
+    def test_unusable_spec_is_usage_error(self, tmp_path, capsys, doc, reason):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["search", "--spec", str(spec)]) == 2
+        assert_one_error_line(capsys.readouterr().err, reason)
 
 
 class TestSubprocessEntry:
