@@ -141,34 +141,44 @@ def is_kgon_of(ls: LineSet, gon: KGon) -> bool:
 
 
 def girth_and_diameter(ls: LineSet):
-    """Girth and diameter of the point-line incidence graph via BFS.
+    """Girth and diameter of the point-line incidence graph.
+
+    One breadth-first search from every node at once: node v keeps int
+    bitmasks over the sources, ``reach[v]`` (distance <= k) and
+    ``layer[v]`` (distance exactly k).  The diameter is the last round k
+    that adds a bit.  The graph is bipartite, so the shortest cycle has
+    even length 2k, where k is the first round in which a source first
+    reaches some node through two of its neighbours at once.
 
     Acyclic graphs report girth ``math.inf``.  On a disconnected graph
     the diameter is the maximum over components.
     """
-    adj: dict[tuple, list] = {}
-    for li, pts in enumerate(ls.line_points):
-        lnode = ("l", li)
-        adj[lnode] = [("p", p) for p in pts]
-        for p in pts:
-            adj.setdefault(("p", p), []).append(lnode)
+    nlines = len(ls.line_points)
+    node = {p: nlines + i for i, p in enumerate(ls.point_lines)}
+    adj = [[node[p] for p in pts] for pts in ls.line_points]
+    adj += [list(lines) for lines in ls.point_lines.values()]
+    reach = [1 << v for v in range(len(adj))]
+    layer = reach[:]
     girth = math.inf
     diameter = 0
-    for src in adj:
-        dist = {src: 0}
-        parent = {src: None}
-        frontier = deque([src])
-        while frontier:
-            v = frontier.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    frontier.append(w)
-                elif parent[v] != w:
-                    girth = min(girth, dist[v] + dist[w] + 1)
-        diameter = max(diameter, max(dist.values()))
-    return girth, diameter
+    k = 0
+    while True:
+        k += 1
+        nxt = []
+        for v, nbrs in enumerate(adj):
+            once = twice = 0
+            for w in nbrs:
+                twice |= once & layer[w]
+                once |= layer[w]
+            new = once & ~reach[v]
+            if twice & new and girth == math.inf:
+                girth = 2 * k
+            reach[v] |= new
+            nxt.append(new)
+        if not any(nxt):
+            return girth, diameter
+        layer = nxt
+        diameter = k
 
 
 @dataclass
@@ -195,11 +205,7 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
     q = ls.q
     rows = [space.points[v] for v in gon.vertices]
     u = space.subspace(rows)
-    count = sum(
-        1
-        for key in ls.lines
-        if u.contains_vec(key[0]) and u.contains_vec(key[1])
-    )
+    count = len(_lines_in(ls, u))
     return PentagonSpanReport(
         dim_u=u.projdim,
         lines_in_u=count,

@@ -1,6 +1,8 @@
 import math
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hexaudit.lineset import LineSet
 from hexaudit.pg import projective_space
@@ -119,6 +121,69 @@ class TestGirthDiameter:
         girth, diameter = girth_and_diameter(star)
         assert girth == math.inf
         assert diameter == 4
+
+
+def reference_girth_and_diameter(ls):
+    """Per-source BFS over the incidence graph: the referee for the
+    all-sources bitset search."""
+    adj = {}
+    for li, pts in enumerate(ls.line_points):
+        lnode = ("l", li)
+        adj[lnode] = [("p", p) for p in pts]
+        for p in pts:
+            adj.setdefault(("p", p), []).append(lnode)
+    girth = math.inf
+    diameter = 0
+    for src in adj:
+        dist = {src: 0}
+        parent = {src: None}
+        frontier = deque([src])
+        while frontier:
+            v = frontier.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    frontier.append(w)
+                elif parent[v] != w:
+                    girth = min(girth, dist[v] + dist[w] + 1)
+        diameter = max(diameter, max(dist.values()))
+    return girth, diameter
+
+
+class TestGirthDiameterAgainstReference:
+    def test_h3(self, h3):
+        assert girth_and_diameter(h3) == (12, 6)
+
+    def test_empty_set(self):
+        assert girth_and_diameter(LineSet(projective_space(3, 2), [])) == (math.inf, 0)
+
+    def test_disconnected_triangle_and_line(self):
+        space = projective_space(4, 2)
+        e = [unit(space, i) for i in range(5)]
+        ls = LineSet(space, [(e[0], e[1]), (e[1], e[2]), (e[0], e[2]), (e[3], e[4])])
+        assert girth_and_diameter(ls) == reference_girth_and_diameter(ls) == (6, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space_key=st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 2)]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=16,
+        ),
+    )
+    # Two disjoint lines of PG(3, 2): acyclic and disconnected.
+    @example(space_key=(3, 2), pairs=[(0, 1), (3, 7)])
+    def test_random_sets_match_reference(self, space_key, pairs):
+        space = projective_space(*space_key)
+        pts = space.points
+        keys = set()
+        for a, b in pairs:
+            a, b = a % len(pts), b % len(pts)
+            if a != b:
+                keys.add(space.rref((pts[a], pts[b])))
+        ls = LineSet(space, keys, canonical=True)
+        assert girth_and_diameter(ls) == reference_girth_and_diameter(ls)
 
 
 class TestPentagonSpan:

@@ -81,6 +81,19 @@ class TestIsotropicLines:
         expected = (q**6 - 1) // (q - 1) * (q**2 + 1)
         assert len(quad.isotropic_lines()) == expected == 3640
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_all_pairs_enumeration(self, q):
+        """The perp-pair filter against rref on every pair of quadric points."""
+        quad = parabolic_quadric(q)
+        pts = quad.points()
+        seen = set()
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                rows = quad.space.rref((pts[i], pts[j]))
+                if rows not in seen and quad.line_is_isotropic(rows):
+                    seen.add(rows)
+        assert quad.isotropic_lines() == tuple(sorted(seen))
+
 
 class TestClassifySection:
     def test_histogram_fixture_q2(self):
