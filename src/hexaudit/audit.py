@@ -44,57 +44,46 @@ DEDUP_SCHEME = "multiplicity-sum"
 AXIOM_ORDER = ("Pt", "Pl", "Sd", "Sd'", "4d", "Hp", "Hp'", "To", "6d")
 
 _ALIASES = {
-    "pt": "Pt", "pl": "Pl", "sd": "Sd", "sd'": "Sd'", "sdp": "Sd'",
-    "sdprime": "Sd'", "4d": "4d", "hp": "Hp", "hp'": "Hp'", "hpp": "Hp'",
-    "hpprime": "Hp'", "to": "To", "6d": "6d",
+    **{a.lower(): a for a in AXIOM_ORDER},
+    "sdp": "Sd'", "sdprime": "Sd'", "hpp": "Hp'", "hpprime": "Hp'",
 }
 
 
 @dataclass(frozen=True)
 class AxiomConfig:
-    """Which intersection-number axioms the audit should check."""
+    """Which intersection-number axioms the audit should check: a set of
+    canonical names from ``AXIOM_ORDER``."""
 
-    pt: bool = False
-    pl: bool = False
-    sd: bool = False
-    sd_prime: bool = False
-    four_d: bool = False
-    hp: bool = False
-    hp_prime: bool = False
-    to: bool = False
-    six_d: bool = False
-
-    _FIELDS = {
-        "Pt": "pt", "Pl": "pl", "Sd": "sd", "Sd'": "sd_prime", "4d": "four_d",
-        "Hp": "hp", "Hp'": "hp_prime", "To": "to", "6d": "six_d",
-    }
+    names: frozenset = frozenset()
 
     def __post_init__(self):
-        if not any(getattr(self, f) for f in self._FIELDS.values()):
+        if not self.names:
             raise ValueError("at least one axiom flag must be set")
+        unknown = self.names - set(AXIOM_ORDER)
+        if unknown:
+            raise ValueError(f"unknown axiom name: {min(unknown)!r}")
 
     @classmethod
     def all(cls) -> "AxiomConfig":
-        return cls(**{f: True for f in cls._FIELDS.values()})
+        return cls(frozenset(AXIOM_ORDER))
 
     @classmethod
     def main_theorem(cls) -> "AxiomConfig":
         """(Pt), (Pl), (Sd), (4d), (Hp), (Hp'), (To): the exhaustive suite."""
-        return cls(pt=True, pl=True, sd=True, four_d=True, hp=True,
-                   hp_prime=True, to=True)
+        return cls(frozenset(("Pt", "Pl", "Sd", "4d", "Hp", "Hp'", "To")))
 
     @classmethod
     def from_names(cls, names) -> "AxiomConfig":
-        flags = {}
+        canonical = set()
         for name in names:
             key = _ALIASES.get(name.strip().lower())
             if key is None:
                 raise ValueError(f"unknown axiom name: {name!r}")
-            flags[cls._FIELDS[key]] = True
-        return cls(**flags)
+            canonical.add(key)
+        return cls(frozenset(canonical))
 
     def enabled(self) -> tuple[str, ...]:
-        return tuple(a for a in AXIOM_ORDER if getattr(self, self._FIELDS[a]))
+        return tuple(a for a in AXIOM_ORDER if a in self.names)
 
 
 def axiom_allowed(axiom: str, q: int):
@@ -161,14 +150,6 @@ class AuditReport:
                 for d, hist in sorted(self.histograms.items())
             },
         }
-
-
-def count_in(ls: LineSet, u: Subspace) -> int:
-    """|{l in L : l inside u}|."""
-    ls.space.check_ambient(u.space)
-    return sum(
-        1 for key in ls.lines if u.contains_vec(key[0]) and u.contains_vec(key[1])
-    )
 
 
 def _violates(rule, c: int) -> bool:
@@ -292,7 +273,7 @@ def _naive_counts(ls: LineSet, d: int) -> dict[bytes, int]:
     """The same map by testing every d-subspace of the space."""
     counts: dict[bytes, int] = {}
     for sub in ls.space.enumerate_subspaces(d):
-        c = count_in(ls, sub)
+        c = len(ls.lines_in(sub))
         if c:
             counts[bytes(x for row in sub.rows for x in row)] = c
     return counts
@@ -418,18 +399,14 @@ def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
         lrows = l.rows
     else:
         lrows = ls.space.rref(l)
-    if lrows not in set(ls.lines):
+    if lrows not in ls:
         raise ValueError("l is not a line of the set")
     lsub = Subspace(ls.space, lrows, canonical=True)
     inter = ls.space.meet(lsub, m)
     if inter.projdim != 0:
         raise ValueError("l must meet the subspace in exactly one point")
     q = ls.q
-    in_m = [
-        key
-        for key in ls.lines
-        if m.contains_vec(key[0]) and m.contains_vec(key[1])
-    ]
+    in_m = [ls.lines[li] for li in sorted(ls.lines_in(m))]
     lm = len(in_m)
     l_pts = set(ls.space.line_point_indices(lrows))
     meeting = [
@@ -486,7 +463,7 @@ def hyperplane_consequence_check(ls: LineSet) -> HyperplaneConsequenceReport:
     best, best_h = -1, None
     if u.projdim < 5 <= ls.n:
         for h in ls.space.subspaces_through(u, 5):
-            c = count_in(ls, h)
+            c = len(ls.lines_in(h))
             if c > best:
                 best, best_h = c, h
     return HyperplaneConsequenceReport(False, bound, best, best_h, sdim_ok)

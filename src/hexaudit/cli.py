@@ -218,6 +218,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -175,9 +175,6 @@ class GF:
             k >>= 1
         return r
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, code)
-
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q
 
@@ -186,68 +183,6 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-class FieldElement:
-    """A field element bound to its GF context.
-
-    Mixing elements of different fields raises ``ValueError``.  This
-    wrapper is the public arithmetic surface; the geometry inner loops
-    use the raw integer codes with the tables on :class:`GF` directly.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: GF, code: int):
-        if not 0 <= code < field.q:
-            raise ValueError(f"code {code} out of range for {field!r}")
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
-        return other.code
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self._coerce(other)))
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(c)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.code, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __int__(self):
-        return self.code
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.code))
-
-    def __repr__(self):
-        return f"GF({self.field.q})[{self.code}]"
 
 
 @lru_cache(maxsize=None)

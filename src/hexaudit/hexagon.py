@@ -109,9 +109,3 @@ def verify_flat_full(ls: LineSet) -> FlatFullReport:
         degree_histogram=dict(sorted(degrees.items())),
     )
 
-
-def span_dim(ls: LineSet) -> int:
-    """Projective dimension of the span of all covered points."""
-    if not ls.lines:
-        raise ValueError("empty line set has no span")
-    return ls.span_dim()

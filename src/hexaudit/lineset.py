@@ -36,7 +36,7 @@ class LineSet:
         self.point_lines: dict[int, tuple[int, ...]] = {
             pi: tuple(ls) for pi, ls in sorted(point_lines.items())
         }
-        self._line_index = {rows: i for i, rows in enumerate(self.lines)}
+        self._keys = frozenset(self.lines)
 
     @property
     def q(self) -> int:
@@ -52,22 +52,10 @@ class LineSet:
     def __contains__(self, rows) -> bool:
         if isinstance(rows, Subspace):
             rows = rows.rows
-        return tuple(tuple(r) for r in rows) in self._line_index
-
-    def line_id(self, rows) -> int:
-        if isinstance(rows, Subspace):
-            rows = rows.rows
-        return self._line_index[tuple(tuple(r) for r in rows)]
-
-    def point_indices(self) -> tuple[int, ...]:
-        """Indices of all points covered by at least one line."""
-        return tuple(self.point_lines)
+        return tuple(tuple(r) for r in rows) in self._keys
 
     def degree(self, point_index: int) -> int:
         return len(self.point_lines.get(point_index, ()))
-
-    def lines_through(self, point_index: int) -> tuple[int, ...]:
-        return self.point_lines.get(point_index, ())
 
     def span_rows(self) -> tuple:
         rows = [r for key in self.lines for r in key]
@@ -77,13 +65,19 @@ class LineSet:
         """Projective dimension of the span of all covered points."""
         return len(self.span_rows()) - 1
 
+    def lines_in(self, u: Subspace) -> set[int]:
+        """Ids of the lines of the set inside ``u``; |L_U| is its size."""
+        self.space.check_ambient(u.space)
+        contains = u.contains_vec
+        return {
+            li
+            for li, key in enumerate(self.lines)
+            if contains(key[0]) and contains(key[1])
+        }
+
     def restrict_to(self, sub: Subspace) -> "LineSet":
         """The sub-line-set of lines fully contained in ``sub``."""
-        keep = [
-            rows
-            for rows in self.lines
-            if sub.contains_vec(rows[0]) and sub.contains_vec(rows[1])
-        ]
+        keep = [self.lines[li] for li in self.lines_in(sub)]
         return LineSet(self.space, keep, canonical=True)
 
     def __eq__(self, other):

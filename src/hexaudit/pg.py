@@ -90,9 +90,6 @@ class Subspace:
     def projdim(self) -> int:
         return len(self.rows) - 1
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
-
     def contains_vec(self, v) -> bool:
         """True iff the vector lies in the row space of the basis."""
         gf = self.space.gf

@@ -205,7 +205,7 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
     q = ls.q
     rows = [space.points[v] for v in gon.vertices]
     u = space.subspace(rows)
-    count = len(_lines_in(ls, u))
+    count = len(ls.lines_in(u))
     return PentagonSpanReport(
         dim_u=u.projdim,
         lines_in_u=count,
@@ -216,18 +216,10 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
     )
 
 
-def _lines_in(ls: LineSet, u: Subspace) -> set[int]:
-    return {
-        li
-        for li, key in enumerate(ls.lines)
-        if u.contains_vec(key[0]) and u.contains_vec(key[1])
-    }
-
-
 def _full_pencil_points(ls: LineSet, u: Subspace) -> set[int]:
     """Points whose full pencil of q+1 set lines lies inside ``u``."""
     q = ls.q
-    in_u = _lines_in(ls, u)
+    in_u = ls.lines_in(u)
     out = set()
     for pi, line_ids in ls.point_lines.items():
         if sum(1 for li in line_ids if li in in_u) == q + 1:
@@ -237,14 +229,12 @@ def _full_pencil_points(ls: LineSet, u: Subspace) -> set[int]:
 
 def qp1_points_on_line(ls: LineSet, u: Subspace, s) -> int:
     """Number of points of the line ``s`` whose pencil count inside u is q+1."""
-    if isinstance(s, Subspace):
-        srows = s.rows
-    else:
-        srows = ls.space.rref(s)
-    if not (u.contains_vec(srows[0]) and u.contains_vec(srows[1])):
+    if not isinstance(s, Subspace):
+        s = ls.space.subspace(s)
+    if not u.contains(s):
         raise ValueError("line is not contained in the subspace")
     special = _full_pencil_points(ls, u)
-    pts = ls.space.line_point_indices(srows)
+    pts = ls.space.line_point_indices(s.rows)
     return sum(1 for p in pts if p in special)
 
 
@@ -292,7 +282,7 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
     """
     from .audit import AxiomConfig, audit
 
-    rep = audit(ls, AxiomConfig(pt=True, pl=True, sd=True))
+    rep = audit(ls, AxiomConfig.from_names(["Pt", "Pl", "Sd"]))
     if not rep.passed:
         raise ValueError("line set fails (Pt)/(Pl)/(Sd); refusing the check")
     restricted = ls.restrict_to(u)

@@ -84,8 +84,9 @@ class ParabolicQuadric:
         Built from pairs of quadric points rather than by filtering the
         full line enumeration; for q = 4 the latter is 15x larger.  Since
         Q(x + cy) = Q(x) + c^2 Q(y) + c b(x, y), two quadric points span
-        an isotropic line only if b(x, y) = 0, so only those pairs reach
-        ``rref``.  b(x, .) is linear: its coefficients are b(x, e_k).
+        an isotropic line if and only if b(x, y) = 0, so exactly those
+        pairs reach ``rref``.  b(x, .) is linear: its coefficients are
+        b(x, e_k).
         """
         if self._iso_lines is None:
             pts = self.points()
@@ -103,11 +104,7 @@ class ParabolicQuadric:
                         add[add[m4[y[4]]][m5[y[5]]]][m6[y[6]]]
                     ]:
                         continue
-                    rows = space.rref((x, y))
-                    if rows in seen:
-                        continue
-                    if self.line_is_isotropic(rows):
-                        seen.add(rows)
+                    seen.add(space.rref((x, y)))
             self._iso_lines = tuple(sorted(seen))
         return self._iso_lines
 

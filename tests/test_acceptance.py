@@ -150,12 +150,12 @@ def test_criterion_6_oracle_equivalence():
         if fast["verdicts"] != slow["verdicts"]:
             ok = False
             break
-    verdict(6, "closure vs naive audit oracle equivalence", ok)
+    verdict(6, "dual kernel vs naive audit oracle equivalence", ok)
 
 
 def test_criterion_7_pentagon_machinery():
     q = 2
-    axioms = AxiomConfig(pt=True, pl=True, sd=True)
+    axioms = AxiomConfig.from_names(["Pt", "Pl", "Sd"])
     candidates = []
     for seed in (1, 2, 3):
         spec = SearchSpec(
@@ -174,7 +174,7 @@ def test_criterion_7_pentagon_machinery():
         ok = ok and rep.dim_is_4 and rep.at_least_5q and rep.at_least_cubic_bound
         hrep = hyperplane_consequence_check(ls)
         ok = ok and hrep.ok
-        with_to = audit(ls, AxiomConfig(pt=True, pl=True, sd=True, to=True))
+        with_to = audit(ls, AxiomConfig.from_names(["Pt", "Pl", "Sd", "To"]))
         if with_to.passed:
             ok = ok and ls.span_dim() <= 6
     verdict(7, "pentagon machinery", ok)

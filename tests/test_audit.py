@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexaudit.audit import (
+    _ALIASES,
+    AXIOM_ORDER,
     AxiomConfig,
     _audit,
     _closure_counts,
     _dict_source,
     audit,
     axiom_allowed,
-    count_in,
     expansion_bound,
     hyperplane_consequence_check,
     naive_audit,
@@ -32,6 +33,14 @@ class TestAxiomConfig:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             AxiomConfig.from_names(["Qt"])
+        with pytest.raises(ValueError, match="unknown axiom name"):
+            AxiomConfig(frozenset({"pt"}))
+
+    def test_every_alias_resolves(self):
+        for alias, name in _ALIASES.items():
+            assert AxiomConfig.from_names([alias]).names == {name}
+            assert AxiomConfig.from_names([alias.upper()]).enabled() == (name,)
+        assert set(_ALIASES.values()) == set(AXIOM_ORDER)
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +71,7 @@ class TestAllowedCounts:
 
 class TestCountIn:
     def test_whole_space(self, h2):
-        assert count_in(h2, h2.space.whole_space()) == 63
+        assert len(h2.lines_in(h2.space.whole_space())) == 63
 
     def test_pencil_plane(self, h2):
         space = h2.space
@@ -70,10 +79,40 @@ class TestCountIn:
         rows = [r for li in h2.point_lines[pi] for r in h2.lines[li]]
         plane = space.subspace(rows)
         assert plane.projdim == 2
-        assert count_in(h2, plane) == 3
+        assert len(h2.lines_in(plane)) == 3
 
     def test_empty_subspace(self, h2):
-        assert count_in(h2, h2.space.empty_subspace()) == 0
+        assert len(h2.lines_in(h2.space.empty_subspace())) == 0
+
+    def test_ambient_mismatch(self, h2):
+        with pytest.raises(ValueError):
+            h2.lines_in(projective_space(5, 2).whole_space())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=14,
+        ),
+        spanning=st.lists(st.integers(0, 10**6), max_size=5),
+    )
+    def test_matches_definition_by_points(self, space_key, pairs, spanning):
+        """The lines inside u are those whose points all lie among u's."""
+        space = projective_space(*space_key)
+        pts = space.points
+        keys = {
+            space.rref((pts[a % len(pts)], pts[b % len(pts)]))
+            for a, b in pairs
+            if a % len(pts) != b % len(pts)
+        }
+        ls = LineSet(space, keys, canonical=True)
+        u = space.subspace([pts[i % len(pts)] for i in spanning])
+        inside = {space.point_index[p] for p in u.points()}
+        expected = {
+            li for li, lpts in enumerate(ls.line_points) if set(lpts) <= inside
+        }
+        assert ls.lines_in(u) == expected
 
 
 # Frozen count histograms for the full H(2) audit, keyed by subspace
@@ -105,7 +144,7 @@ class TestHexagonAudit:
         assert sum(rep.histograms[5].values()) == 127
 
     def test_h2_naive_crosscheck_cheap_dims(self, h2):
-        cfg = AxiomConfig(four_d=True, hp=True, hp_prime=True)
+        cfg = AxiomConfig.from_names(["4d", "Hp", "Hp'"])
         fast = audit(h2, cfg)
         slow = naive_audit(h2, cfg)
         assert fast.histograms == slow.histograms
@@ -121,7 +160,7 @@ class TestViolations:
         space = projective_space(3, 2)
         e = [unit(space, i) for i in range(4)]
         ls = LineSet(space, [(e[0], e[1]), (e[0], e[2])])
-        rep = audit(ls, AxiomConfig(pt=True))
+        rep = audit(ls, AxiomConfig.from_names(["Pt"]))
         assert not rep.passed
         assert rep.witnesses["Pt"] is not None
 
@@ -136,11 +175,11 @@ class TestViolations:
                 lines.add(space.rref((a, b)))
         assert len(lines) == 7
         ls = LineSet(space, lines, canonical=True)
-        rep = audit(ls, AxiomConfig(pl=True))
+        rep = audit(ls, AxiomConfig.from_names(["Pl"]))
         assert not rep.passed
         witness = rep.witnesses["Pl"]
         assert witness is not None
-        assert count_in(ls, space.subspace(witness)) == 7
+        assert len(ls.lines_in(space.subspace(witness))) == 7
 
     def test_witness_is_canonically_minimal(self):
         space = projective_space(3, 2)
@@ -148,21 +187,21 @@ class TestViolations:
         pts = list(plane.points())
         lines = {space.rref((pts[i], pts[j])) for i in range(7) for j in range(i + 1, 7)}
         ls = LineSet(space, lines, canonical=True)
-        rep = naive_audit(ls, AxiomConfig(pl=True))
-        assert audit(ls, AxiomConfig(pl=True)).witnesses == rep.witnesses
+        rep = naive_audit(ls, AxiomConfig.from_names(["Pl"]))
+        assert audit(ls, AxiomConfig.from_names(["Pl"])).witnesses == rep.witnesses
 
     def test_vacuous_high_dimensions(self):
         space = projective_space(3, 2)
         e = [unit(space, i) for i in range(4)]
         ls = LineSet(space, [(e[0], e[1])])
-        rep = audit(ls, AxiomConfig(four_d=True, hp=True, hp_prime=True))
+        rep = audit(ls, AxiomConfig.from_names(["4d", "Hp", "Hp'"]))
         assert rep.passed
         assert rep.histograms == {}
 
     def test_empty_set_rejected(self):
         ls = LineSet(projective_space(3, 2), [])
         with pytest.raises(ValueError):
-            audit(ls, AxiomConfig(pt=True))
+            audit(ls, AxiomConfig.from_names(["Pt"]))
 
 
 def random_lineset(space, rng, max_lines=12):
@@ -219,7 +258,7 @@ class TestDualKernel:
                 if a != b and space.rref((a, b)) not in h3
             )
             ls = LineSet(space, h3.lines + (key,), canonical=True)
-        cfg = AxiomConfig(pl=True, hp=True, hp_prime=True)
+        cfg = AxiomConfig.from_names(["Pl", "Hp", "Hp'"])
         rep = audit(ls, cfg)
         assert rep.to_dict() == closure_audit(ls, cfg).to_dict()
         assert rep.passed != extra_line

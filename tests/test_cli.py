@@ -42,6 +42,11 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "not a prime power" in err
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "h2.pgls"
+        assert main(["build", "--q", "2", "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, str(out))
+
     def test_build_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["build", "--q", "2", "--out", str(a)])
@@ -96,6 +101,11 @@ class TestAudit:
         assert main(["audit", "--in", str(empty_file)]) == 2
         assert_one_error_line(capsys.readouterr().err, "empty")
 
+    def test_audit_unwritable_out_is_usage_error(self, h2_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["audit", "--in", str(h2_file), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, str(out))
+
     def test_audit_report_deterministic(self, h2_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["audit", "--in", str(h2_file), "--out", str(r1)])
@@ -149,6 +159,11 @@ class TestClassify4:
     def test_unsupported_q(self, capsys):
         assert main(["classify4", "--q", "4"]) == 2
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.json"
+        assert main(["classify4", "--q", "2", "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, str(out))
+
 
 class TestSrg:
     def test_q2_feasible(self, capsys):
@@ -188,6 +203,13 @@ class TestSearch:
             (p1.parent / "one.log").read_bytes()
             == (p2.parent / "two.log").read_bytes()
         )
+
+    def test_unwritable_out_prefix_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Pt"], "budget": 5}))
+        prefix = tmp_path / "missing" / "run"
+        assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 2
+        assert_one_error_line(capsys.readouterr().err, str(prefix))
 
     def test_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -4,7 +4,6 @@ from hexaudit.errors import InternalConsistencyError
 from hexaudit.hexagon import (
     build,
     hexagon_line_predicate,
-    span_dim,
     verify_flat_full,
 )
 from hexaudit.lineset import LineSet
@@ -99,10 +98,5 @@ class TestFlatFull:
 
 class TestSpan:
     def test_hexagon_spans_everything(self, h2, h3):
-        assert span_dim(h2) == 6
-        assert span_dim(h3) == 6
-
-    def test_empty_set_rejected(self):
-        ls = LineSet(projective_space(3, 2), [])
-        with pytest.raises(ValueError):
-            span_dim(ls)
+        assert h2.span_dim() == 6
+        assert h3.span_dim() == 6

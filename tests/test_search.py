@@ -16,7 +16,7 @@ def make_spec(**kw):
     base = dict(
         n=4,
         q=2,
-        axioms=AxiomConfig(pt=True, pl=True, sd=True),
+        axioms=AxiomConfig.from_names(["Pt", "Pl", "Sd"]),
         mode="randomized-greedy",
         seed=11,
         budget=200,
@@ -39,6 +39,7 @@ class TestSpec:
         spec = make_spec()
         again = SearchSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
+        assert again == spec
 
     def test_from_dict_defaults(self):
         spec = SearchSpec.from_dict({"n": 4, "q": 2, "axioms": ["Pt"]})
