@@ -12,13 +12,18 @@ process:
 
 * Every hyperplane h, a point of the dual space indexed through the
   ambient point table, gets an int bitmask B[h] of the lines of L inside
-  it.  The masks are filled by walking the points of each line's
-  annihilator, ``nullspace(key)``.
+  it, and every line l a bitmask H[l] of the hyperplanes containing it,
+  both filled from bit-sliced coordinates (``_orthogonal``).
 * A d-subspace U is cut out by the n-d rows of its annihilator's RREF,
   so |L_U| is the popcount of the AND of B over those rows.
 * Annihilator RREFs are enumerated pivot set first.  Once the pivots are
   fixed the rows are independent, so the walk goes row by row, carries
-  the partial AND, and skips every completion once it reaches 0.
+  the partial AND, and skips every completion once it holds fewer than
+  two lines.  Every line lies in the same number of d-subspaces, so the
+  count of U with |L_U| = 1 follows, and every axiom admits count 1.
+* A last row with many hyperplanes for the lines of its prefix is done
+  line by line: marking each H[l] once and twice leaves the completions
+  holding two or more lines.
 * The canonical basis of U, the nullspace of the annihilator rows, is
   computed only for subspaces whose count violates an axiom; the
   byte-minimal one is the witness.
@@ -36,8 +41,9 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
+from .errors import InternalConsistencyError
 from .lineset import LineSet
-from .pg import Subspace
+from .pg import Subspace, gaussian_binomial
 
 DEDUP_SCHEME = "multiplicity-sum"
 
@@ -164,6 +170,48 @@ def _violates(rule, c: int) -> bool:
 # ``bad``.
 
 
+# The innermost row goes line by line when LINEWISE_RATIO * |lines of the
+# prefix| < |hyperplanes of the row|.  Of 4, 8, 16, 32 and 64, 8 ran the H(3)
+# audit fastest; on H(4), 16 was about 15 % faster than 8.
+LINEWISE_RATIO = 8
+
+
+def _bit_slices(vectors, width: int, q: int) -> list[list[int]]:
+    """``sl[k][a]``: the bitmask of the vectors whose coordinate k is a."""
+    sl = [[0] * q for _ in range(width)]
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        for col, a in zip(sl, v):
+            col[a] |= bit
+    return sl
+
+
+def _orthogonal(sl, form, gf) -> int:
+    """The bitmask of the vectors v with sum_k form[k] * v[k] == 0, from the
+    bit slices ``sl``; ``part[s]`` holds the vectors whose partial sum is s.
+    The slices of one coordinate partition the vectors: their sum is all."""
+    add, mul = gf.add_table, gf.mul_table
+    part = [sum(sl[0])] + [0] * (gf.q - 1)
+    for col, f in zip(sl, form):
+        if f:
+            mf, new = mul[f], [0] * gf.q
+            for s, m in enumerate(part):
+                if m:
+                    row = add[s]
+                    for a, vs in enumerate(col):
+                        new[row[mf[a]]] |= m & vs
+            part = new
+    return part[0]
+
+
+def _bits(x: int):
+    """The indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 class _DualCounts:
     """The dual-hyperplane bitset kernel (see the module docstring)."""
 
@@ -174,18 +222,27 @@ class _DualCounts:
     @cached_property
     def masks(self) -> list[int]:
         """B[h], the bitmask of the lines inside hyperplane h."""
+        space, lines = self.ls.space, self.ls.lines
+        xs = _bit_slices((x for x, _ in lines), space.width, space.q)
+        ys = _bit_slices((y for _, y in lines), space.width, space.q)
+        gf = space.gf
+        return [
+            _orthogonal(xs, h, gf) & _orthogonal(ys, h, gf) for h in space.points
+        ]
+
+    @cached_property
+    def line_hyperplanes(self) -> list[int]:
+        """H[l], the bitmask of the hyperplanes containing line l."""
         space = self.ls.space
-        index = space.point_index
-        masks = [0] * len(space.points)
-        for li, key in enumerate(self.ls.lines):
-            bit = 1 << li
-            for h in Subspace(space, space.nullspace(key), canonical=True).points():
-                masks[index[h]] |= bit
-        return masks
+        sl = _bit_slices(space.points, space.width, space.q)
+        rows = {p for key in self.ls.lines for p in key}
+        through = {p: _orthogonal(sl, p, space.gf) for p in rows}
+        return [through[x] & through[y] for x, y in self.ls.lines]
 
     def _row_choices(self, pivot: int, free: tuple[int, ...]):
         """Hyperplanes h with B[h] != 0 among the RREF rows with this pivot
-        and these free columns, and their masks, as two parallel tuples."""
+        and these free columns: as a tuple, their masks as a parallel tuple,
+        and as a bitmask over hyperplane indices."""
         memo = self._choices.get((pivot, free))
         if memo is not None:
             return memo
@@ -201,7 +258,7 @@ class _DualCounts:
             if masks[h]:
                 hyps.append(h)
         memo = self._choices[(pivot, free)] = (
-            tuple(hyps), tuple(masks[h] for h in hyps)
+            tuple(hyps), tuple(masks[h] for h in hyps), sum(1 << h for h in hyps)
         )
         return memo
 
@@ -209,20 +266,37 @@ class _DualCounts:
         space = self.ls.space
         width = space.width
         k = space.n - d
+        nlines = len(self.ls.lines)
         if k == 0:
-            m = len(self.ls.lines)
             rows = space.whole_space().rows
-            return {m: 1}, ([(rows, m)] if m in bad else [])
+            return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
+        if 1 in bad:
+            raise InternalConsistencyError(
+                f"an axiom at d = {d} rejects count 1, which the kernel does not enumerate"
+            )
         tally: Counter = Counter()
         update = tally.update
         flagged = []
         last = k - 1
+        masks = self.masks
 
         def walk(levels, depth, acc, hyps_so_far):
-            hyps, ms = levels[depth]
+            hyps, ms, family = levels[depth]
             if depth == last:
-                cs = list(map(int.bit_count, map(acc.__and__, ms)))
-                update(cs)
+                if LINEWISE_RATIO * acc.bit_count() < len(hyps):
+                    # twice: the family's hyperplanes with >= 2 lines of acc
+                    seen = twice = 0
+                    line_hyps = self.line_hyperplanes
+                    for li in _bits(acc):
+                        hs = line_hyps[li] & family
+                        twice |= seen & hs
+                        seen |= hs
+                    hyps = tuple(_bits(twice))
+                    cs = [(acc & masks[h]).bit_count() for h in hyps]
+                    update(cs)
+                else:
+                    cs = list(map(int.bit_count, map(acc.__and__, ms)))
+                    update(filter((1).__lt__, cs))  # only counts >= 2
                 if bad and not bad.isdisjoint(cs):
                     flagged.extend(
                         (hyps_so_far + (h,), c) for h, c in zip(hyps, cs) if c in bad
@@ -230,10 +304,9 @@ class _DualCounts:
                 return
             for h, m in zip(hyps, ms):
                 a = acc & m
-                if a:
+                if a & (a - 1):
                     walk(levels, depth + 1, a, hyps_so_far + (h,))
 
-        full = (1 << len(self.ls.lines)) - 1
         for pivots in itertools.combinations(range(width), k):
             levels = [
                 self._row_choices(
@@ -244,8 +317,14 @@ class _DualCounts:
             # Rows are independent: put the longest choice list innermost,
             # where the AND and popcount run in C over the whole list.
             levels.sort(key=lambda lv: len(lv[0]))
-            walk(levels, 0, full, ())
-        tally.pop(0, None)
+            walk(levels, 0, (1 << nlines) - 1, ())
+        # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
+        # (line, U) number nlines times that; the rest have |L_U| = 1.
+        ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(
+            c * m for c, m in tally.items()
+        )
+        if ones:
+            tally[1] = ones
         points = space.points
         bases = [
             (space.nullspace([points[h] for h in hyps]), c) for hyps, c in flagged

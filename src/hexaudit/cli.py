@@ -8,6 +8,7 @@ declared seeds; reports embed the tool version and an input digest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -35,11 +36,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _open_out(path: str):
+    """Open an output ("-" is stdout) before the work, to fail fast."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def cmd_build(args) -> int:
@@ -51,8 +50,9 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    ls = build(args.q)
-    _write(args.out, dump_lineset(ls))
+    with _open_out(args.out) as out:
+        ls = build(args.q)
+        out.write(dump_lineset(ls))
     print(f"H({args.q}): {len(ls)} lines, {len(ls.point_lines)} points")
     return EXIT_OK
 
@@ -75,9 +75,10 @@ def cmd_audit(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rep = audit(ls, cfg)
-    doc = report_document("audit", rep.to_dict(), source_text=text)
-    _write(args.out, dumps_report(doc))
+    with _open_out(args.out) as out:
+        rep = audit(ls, cfg)
+        doc = report_document("audit", rep.to_dict(), source_text=text)
+        out.write(dumps_report(doc))
     for a in rep.axioms:
         status = "pass" if rep.verdicts[a] else "FAIL"
         print(f"{a}: {status}")
@@ -112,19 +113,20 @@ def cmd_classify4(args) -> int:
     if args.q not in (2, 3):
         print("error: classify4 supports q in {2, 3}", file=sys.stderr)
         return EXIT_USAGE
-    quad = parabolic_quadric(args.q)
-    space = projective_space(6, args.q)
-    hist: dict[str, int] = {}
-    for sub in space.enumerate_subspaces(4):
-        kind, _ = quad.classify_section(sub)
-        hist[kind.value] = hist.get(kind.value, 0) + 1
-    for kind in sorted(hist):
-        print(f"{kind}: {hist[kind]}")
-    total = sum(hist.values())
-    print(f"total: {total}")
-    if args.out:
-        doc = report_document("classify4", {"q": args.q, "histogram": dict(sorted(hist.items()))})
-        _write(args.out, dumps_report(doc))
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
+        quad = parabolic_quadric(args.q)
+        space = projective_space(6, args.q)
+        hist: dict[str, int] = {}
+        for sub in space.enumerate_subspaces(4):
+            kind, _ = quad.classify_section(sub)
+            hist[kind.value] = hist.get(kind.value, 0) + 1
+        for kind in sorted(hist):
+            print(f"{kind}: {hist[kind]}")
+        total = sum(hist.values())
+        print(f"total: {total}")
+        if out:
+            doc = report_document("classify4", {"q": args.q, "histogram": dict(sorted(hist.items()))})
+            out.write(dumps_report(doc))
     return EXIT_OK
 
 
@@ -155,9 +157,10 @@ def cmd_search(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = run_search(spec)
     prefix = args.out_prefix or "search"
-    Path(prefix + ".log").write_text(result.log)
+    with open(prefix + ".log", "w") as log:
+        result = run_search(spec)
+        log.write(result.log)
     if result.found is not None:
         Path(prefix + ".lines").write_text(dump_lineset(result.found))
         print(f"found: {len(result.found)} lines -> {prefix}.lines")

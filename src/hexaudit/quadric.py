@@ -84,28 +84,36 @@ class ParabolicQuadric:
         Built from pairs of quadric points rather than by filtering the
         full line enumeration; for q = 4 the latter is 15x larger.  Since
         Q(x + cy) = Q(x) + c^2 Q(y) + c b(x, y), two quadric points span
-        an isotropic line if and only if b(x, y) = 0, so exactly those
-        pairs reach ``rref``.  b(x, .) is linear: its coefficients are
-        b(x, e_k).
+        an isotropic line if and only if b(x, y) = 0.  b(x, .) is linear:
+        its coefficients are b(x, e_k).  A pair whose points already
+        share a found line is skipped, so each line reaches ``rref`` once.
         """
         if self._iso_lines is None:
             pts = self.points()
             space = self.space
+            position = {space.point_index[p]: j for j, p in enumerate(pts)}
             add, mul = self.gf.add_table, self.gf.mul_table
             units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
-            seen = set()
+            lines = []
+            # shared[j]: bitmask of the positions of pts on found lines via pts[j]
+            shared = [0] * len(pts)
             for i, x in enumerate(pts):
                 # b(x, y) is the sum over k of m_k[y_k].
                 m0, m1, m2, m3, m4, m5, m6 = (
                     mul[self.bilinear(x, e)] for e in units
                 )
-                for y in pts[i + 1:]:
-                    if add[add[add[m0[y[0]]][m1[y[1]]]][add[m2[y[2]]][m3[y[3]]]]][
-                        add[add[m4[y[4]]][m5[y[5]]]][m6[y[6]]]
-                    ]:
+                for j, y in enumerate(pts[i + 1:], i + 1):
+                    if shared[i] >> j & 1 or add[
+                        add[add[m0[y[0]]][m1[y[1]]]][add[m2[y[2]]][m3[y[3]]]]
+                    ][add[add[m4[y[4]]][m5[y[5]]]][m6[y[6]]]]:
                         continue
-                    seen.add(space.rref((x, y)))
-            self._iso_lines = tuple(sorted(seen))
+                    key = space.rref((x, y))
+                    lines.append(key)
+                    on = [position[p] for p in space.line_point_indices(key)]
+                    line_bits = sum(1 << p for p in on)
+                    for p in on:
+                        shared[p] |= line_bits
+            self._iso_lines = tuple(sorted(lines))
         return self._iso_lines
 
     def section_points(self, u: Subspace) -> list[tuple[int, ...]]:

@@ -1,23 +1,42 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hexaudit.audit as audit_module
 from hexaudit.audit import (
     _ALIASES,
+    _AXIOM_DIM,
     AXIOM_ORDER,
     AxiomConfig,
     _audit,
     _closure_counts,
     _dict_source,
+    _violates,
     audit,
     axiom_allowed,
     expansion_bound,
     hyperplane_consequence_check,
     naive_audit,
 )
+from hexaudit.formats import dump_lineset, dumps_report, report_document
+from hexaudit.hexagon import build
 from hexaudit.lineset import LineSet
-from hexaudit.pg import projective_space
+from hexaudit.pg import gaussian_binomial, projective_space
+
+# Benchmark goldens, read only: PGLS digests and report documents.
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+
+# SHA-256 of dumps_report(audit(H(4), all axioms).to_dict()), recorded with
+# the kernel that enumerated every subspace, before counts were derived.
+H4_REPORT_SHA256 = "f5cf06486c4557f26a4ba6fc924ca7c1d03c2a963bb849a3d2fdcdc45e3e8c82"
+
+# LINEWISE_RATIO values that send every innermost row of the kernel down
+# one path: 0 always line by line, 10**9 always through the map.
+ONE_PATH = pytest.mark.parametrize("ratio", [0, 10**9], ids=["line-wise", "map"])
 
 
 def unit(space, i):
@@ -67,6 +86,12 @@ class TestAllowedCounts:
         assert axiom_allowed("Hp'", q) == 81 - 27 + 27 + 6
         with pytest.raises(ValueError):
             axiom_allowed("To", q)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_every_subspace_rule_admits_one(self, q):
+        """The dual kernel derives count 1 and never flags it."""
+        for axiom in _AXIOM_DIM:
+            assert not _violates(axiom_allowed(axiom, q), 1), axiom
 
 
 class TestCountIn:
@@ -263,6 +288,31 @@ class TestDualKernel:
         assert rep.to_dict() == closure_audit(ls, cfg).to_dict()
         assert rep.passed != extra_line
 
+    @ONE_PATH
+    def test_h2_each_innermost_path_alone(self, h2, ratio, monkeypatch):
+        monkeypatch.setattr(audit_module, "LINEWISE_RATIO", ratio)
+        rep = audit(h2, AxiomConfig.all())
+        assert rep.passed
+        assert rep.histograms == H2_HISTOGRAMS
+
+    def test_h3_report_matches_golden(self, h3):
+        golden = json.loads(GOLDENS.read_text())["reports"]["h3"]
+        rep = audit(h3, AxiomConfig.all())
+        doc = report_document("audit", rep.to_dict(), source_text=dump_lineset(h3))
+        doc.pop("version")
+        assert doc == golden
+
+    @pytest.mark.parametrize("n, q", [(4, 3), (6, 2)])
+    def test_single_line_counts_come_from_the_identity(self, n, q):
+        """One line lies in [n-1, d-1]_q d-subspaces, each holding only it."""
+        space = projective_space(n, q)
+        ls = LineSet(space, [(unit(space, 0), unit(space, 1))])
+        rep = audit(ls, AxiomConfig.from_names(["Pl", "Sd", "4d", "Hp"]))
+        assert rep.passed
+        assert rep.histograms == {
+            d: {1: gaussian_binomial(n - 1, d - 1, q)} for d in range(2, min(n, 5) + 1)
+        }
+
     @settings(max_examples=25, deadline=None)
     @given(
         space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
@@ -273,6 +323,27 @@ class TestDualKernel:
         ),
     )
     def test_random_sets_match_closure_and_naive(self, space_key, pairs):
+        self.check_random_set(space_key, pairs)
+
+    # Criterion 6 audits only PG(4,2), where no innermost row is long
+    # enough to go line by line, so each path is also run here alone.
+    @ONE_PATH
+    @settings(max_examples=25, deadline=None)
+    @given(
+        space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    def test_random_sets_each_innermost_path_alone(self, ratio, space_key, pairs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(audit_module, "LINEWISE_RATIO", ratio)
+            self.check_random_set(space_key, pairs)
+
+    @staticmethod
+    def check_random_set(space_key, pairs):
         space = projective_space(*space_key)
         pts = space.points
         keys = set()
@@ -287,6 +358,18 @@ class TestDualKernel:
         dual = audit(ls, cfg).to_dict()
         assert dual == closure_audit(ls, cfg).to_dict()
         assert dual == naive_audit(ls, cfg).to_dict()
+
+
+def test_h4_build_and_full_audit():
+    """H(4) end to end: the PGLS bytes of the benchmark goldens, and the
+    full audit passes with the recorded report bytes."""
+    ls = build(4)
+    pgls = json.loads(GOLDENS.read_text())["pgls_sha256"]["4"]
+    assert hashlib.sha256(dump_lineset(ls).encode()).hexdigest() == pgls
+    rep = audit(ls, AxiomConfig.all())
+    assert rep.passed
+    digest = hashlib.sha256(dumps_report(rep.to_dict()).encode()).hexdigest()
+    assert digest == H4_REPORT_SHA256
 
 
 class TestExpansionBound:

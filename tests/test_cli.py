@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hexaudit import cli
 from hexaudit.cli import main
 from hexaudit.formats import load_lineset
 
@@ -20,6 +21,16 @@ def run_cli(*args, cwd=None):
 def assert_one_error_line(err, needle):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err
+
+
+def must_not_compute(monkeypatch, name):
+    """Make cli.<name> fail the test if it is reached: an unwritable output
+    must be detected before the work it would hold."""
+
+    def fail(*args, **kwargs):
+        pytest.fail(f"cli.{name} ran before the output was opened")
+
+    monkeypatch.setattr(cli, name, fail)
 
 
 @pytest.fixture()
@@ -42,10 +53,13 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "not a prime power" in err
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        must_not_compute(monkeypatch, "build")
         out = tmp_path / "missing" / "h2.pgls"
         assert main(["build", "--q", "2", "--out", str(out)]) == 2
-        assert_one_error_line(capsys.readouterr().err, str(out))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, str(out))
 
     def test_build_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -101,10 +115,15 @@ class TestAudit:
         assert main(["audit", "--in", str(empty_file)]) == 2
         assert_one_error_line(capsys.readouterr().err, "empty")
 
-    def test_audit_unwritable_out_is_usage_error(self, h2_file, tmp_path, capsys):
+    def test_audit_unwritable_out_is_usage_error(
+        self, h2_file, tmp_path, capsys, monkeypatch
+    ):
+        must_not_compute(monkeypatch, "audit")
         out = tmp_path / "missing" / "r.json"
         assert main(["audit", "--in", str(h2_file), "--out", str(out)]) == 2
-        assert_one_error_line(capsys.readouterr().err, str(out))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, str(out))
 
     def test_audit_report_deterministic(self, h2_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -159,10 +178,13 @@ class TestClassify4:
     def test_unsupported_q(self, capsys):
         assert main(["classify4", "--q", "4"]) == 2
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        must_not_compute(monkeypatch, "parabolic_quadric")
         out = tmp_path / "missing" / "c.json"
         assert main(["classify4", "--q", "2", "--out", str(out)]) == 2
-        assert_one_error_line(capsys.readouterr().err, str(out))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, str(out))
 
 
 class TestSrg:
@@ -204,12 +226,15 @@ class TestSearch:
             == (p2.parent / "two.log").read_bytes()
         )
 
-    def test_unwritable_out_prefix_is_usage_error(self, tmp_path, capsys):
+    def test_unwritable_out_prefix_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        must_not_compute(monkeypatch, "run_search")
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Pt"], "budget": 5}))
         prefix = tmp_path / "missing" / "run"
         assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 2
-        assert_one_error_line(capsys.readouterr().err, str(prefix))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, str(prefix))
 
     def test_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
