@@ -163,16 +163,13 @@ def _violates(rule, c: int) -> bool:
 
 
 # -- count sources --
-#
 # A count source is called as ``source(d, bad)`` and returns the
 # histogram {|L_U|: number of U} over the d-subspaces U meeting L, plus
 # (canonical basis of U, |L_U|) for at least every U whose count is in
 # ``bad``.
 
-
-# The innermost row goes line by line when LINEWISE_RATIO * |lines of the
-# prefix| < |hyperplanes of the row|.  Of 4, 8, 16, 32 and 64, 8 ran the H(3)
-# audit fastest; on H(4), 16 was about 15 % faster than 8.
+# Line by line when LINEWISE_RATIO * |prefix lines| < |row hyperplanes|: 8 ran H(3)
+# 9 % faster than 16 end to end, H(4) within 10 %; map only was 1.3x/3.3x slower.
 LINEWISE_RATIO = 8
 
 
@@ -187,9 +184,8 @@ def _bit_slices(vectors, width: int, q: int) -> list[list[int]]:
 
 
 def _orthogonal(sl, form, gf) -> int:
-    """The bitmask of the vectors v with sum_k form[k] * v[k] == 0, from the
-    bit slices ``sl``; ``part[s]`` holds the vectors whose partial sum is s.
-    The slices of one coordinate partition the vectors: their sum is all."""
+    """The bitmask of the vectors v with form . v == 0; ``part[s]`` holds those
+    whose partial sum is s (the slices of one coordinate sum to all vectors)."""
     add, mul = gf.add_table, gf.mul_table
     part = [sum(sl[0])] + [0] * (gf.q - 1)
     for col, f in zip(sl, form):
@@ -240,9 +236,8 @@ class _DualCounts:
         return [through[x] & through[y] for x, y in self.ls.lines]
 
     def _row_choices(self, pivot: int, free: tuple[int, ...]):
-        """Hyperplanes h with B[h] != 0 among the RREF rows with this pivot
-        and these free columns: as a tuple, their masks as a parallel tuple,
-        and as a bitmask over hyperplane indices."""
+        """The RREF rows h with this pivot and these free columns and B[h] != 0:
+        a tuple, their masks as a parallel tuple, and a bitmask over h."""
         memo = self._choices.get((pivot, free))
         if memo is not None:
             return memo
@@ -271,9 +266,7 @@ class _DualCounts:
             rows = space.whole_space().rows
             return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
         if 1 in bad:
-            raise InternalConsistencyError(
-                f"an axiom at d = {d} rejects count 1, which the kernel does not enumerate"
-            )
+            raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
         tally: Counter = Counter()
         update = tally.update
         flagged = []

@@ -37,8 +37,15 @@ EXIT_USAGE = 2
 
 
 def _open_out(path: str):
-    """Open an output ("-" is stdout) before the work, to fail fast."""
-    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
+    """Open an output ("-" is stdout) early, keeping its bytes until ``_write``."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "a")
+
+
+def _write(out, text: str) -> None:
+    """Replace the contents of an output opened by ``_open_out``."""
+    if out is not sys.stdout:
+        out.truncate(0)
+    out.write(text)
 
 
 def cmd_build(args) -> int:
@@ -52,7 +59,7 @@ def cmd_build(args) -> int:
         return EXIT_USAGE
     with _open_out(args.out) as out:
         ls = build(args.q)
-        out.write(dump_lineset(ls))
+        _write(out, dump_lineset(ls))
     print(f"H({args.q}): {len(ls)} lines, {len(ls.point_lines)} points")
     return EXIT_OK
 
@@ -78,7 +85,7 @@ def cmd_audit(args) -> int:
     with _open_out(args.out) as out:
         rep = audit(ls, cfg)
         doc = report_document("audit", rep.to_dict(), source_text=text)
-        out.write(dumps_report(doc))
+        _write(out, dumps_report(doc))
     for a in rep.axioms:
         status = "pass" if rep.verdicts[a] else "FAIL"
         print(f"{a}: {status}")
@@ -126,7 +133,7 @@ def cmd_classify4(args) -> int:
         print(f"total: {total}")
         if out:
             doc = report_document("classify4", {"q": args.q, "histogram": dict(sorted(hist.items()))})
-            out.write(dumps_report(doc))
+            _write(out, dumps_report(doc))
     return EXIT_OK
 
 
@@ -158,9 +165,9 @@ def cmd_search(args) -> int:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     prefix = args.out_prefix or "search"
-    with open(prefix + ".log", "w") as log:
+    with _open_out(prefix + ".log") as log:
         result = run_search(spec)
-        log.write(result.log)
+        _write(log, result.log)
     if result.found is not None:
         Path(prefix + ".lines").write_text(dump_lineset(result.found))
         print(f"found: {len(result.found)} lines -> {prefix}.lines")

@@ -33,6 +33,32 @@ def must_not_compute(monkeypatch, name):
     monkeypatch.setattr(cli, name, fail)
 
 
+@pytest.mark.parametrize("command", ["build", "audit", "classify4", "search"])
+def test_failed_work_keeps_the_old_output(tmp_path, monkeypatch, command):
+    """The output is opened before the work but emptied only when the new
+    contents are written, so a run that raises leaves the old file intact."""
+    h2, spec = tmp_path / "h2.pgls", tmp_path / "spec.json"
+    main(["build", "--q", "2", "--out", str(h2)])
+    spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Pt"], "budget": 5}))
+    out = tmp_path / "old.out"
+    argv, compute, written = {
+        "build": (["build", "--q", "2", "--out", str(out)], "build", out),
+        "audit": (["audit", "--in", str(h2), "--out", str(out)], "audit", out),
+        "classify4": (["classify4", "--q", "2", "--out", str(out)], "parabolic_quadric", out),
+        "search": (["search", "--spec", str(spec), "--out-prefix", str(out)],
+                   "run_search", tmp_path / "old.out.log"),
+    }[command]
+    written.write_bytes(b"old bytes\n")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, compute, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert written.read_bytes() == b"old bytes\n"
+
+
 @pytest.fixture()
 def empty_file(tmp_path):
     path = tmp_path / "empty.pgls"
@@ -60,6 +86,13 @@ class TestBuild:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert_one_error_line(captured.err, str(out))
+
+    def test_build_replaces_a_longer_file(self, tmp_path):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        old.write_bytes(b"x" * 10**5)
+        main(["build", "--q", "2", "--out", str(fresh)])
+        main(["build", "--q", "2", "--out", str(old)])
+        assert old.read_bytes() == fresh.read_bytes()
 
     def test_build_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
