@@ -5,11 +5,15 @@ totally isotropic lines whose Grassmann coordinates satisfy
 
     p12 = p34,  p54 = p32,  p20 = p35,  p65 = p30,  p01 = p36,  p46 = p31,
 
-read with the antisymmetric convention p(j, i) = -p(i, j).  The line
-set is built by filtering the isotropic lines against these equations
-rather than by orbit generation, and the resulting count is verified
-against (q^6 - 1) / (q - 1); a mismatch would indicate a broken sign
-convention and aborts construction.
+read with the antisymmetric convention p(j, i) = -p(i, j).  For a fixed
+point x, p_ij(x, y) = x_i y_j - x_j y_i is linear in y, so the points y
+joined to x by a hexagon line, together with x, form the plane pi_x cut
+out by these six equations and the polar equation b(x, y) = 0.  The
+line set is built point by point from these planes rather than by
+filtering the isotropic lines or by orbit generation.  Every line built
+must pass the predicate above, each plane must be a plane, and the line
+and point counts must equal (q^6 - 1) / (q - 1); any failure indicates a
+broken sign convention and aborts construction.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from functools import lru_cache
 
 from .errors import InternalConsistencyError
 from .lineset import LineSet
-from .pg import PluckerCoords, projective_space
+from .pg import PluckerCoords
 from .quadric import ParabolicQuadric, parabolic_quadric
 
-SUPPORTED_Q = (2, 3, 4)
+SUPPORTED_Q = (2, 3, 4, 5)
 
 # The six line conditions as ((i, j), (k, l)) meaning p(i,j) == p(k,l).
 _LINE_CONDITIONS = (
@@ -44,18 +48,56 @@ def hexagon_line_predicate(quad: ParabolicQuadric, rows) -> bool:
     return all(p(i, j) == p(k, l) for (i, j), (k, l) in _LINE_CONDITIONS)
 
 
+def _plane_equations(quad: ParabolicQuadric, x) -> list:
+    """The seven linear equations in y of the plane pi_x: one
+    p_ij(x, y) - p_kl(x, y) per line condition, then b(x, y)."""
+    add, neg = quad.gf.add_table, quad.gf.neg_table
+    rows = []
+    for (i, j), (k, l) in _LINE_CONDITIONS:
+        row = [0] * 7
+        for col, c in ((j, x[i]), (i, neg[x[j]]), (l, neg[x[k]]), (k, x[l])):
+            row[col] = add[row[col]][c]
+        rows.append(row)
+    rows.append(quad.polar(x))
+    return rows
+
+
+def _lines_through(quad: ParabolicQuadric, x) -> set:
+    """Canonical bases of the q+1 lines of H(q) through the quadric point x."""
+    space = quad.space
+    plane = space.nullspace(_plane_equations(quad, x))
+    if len(plane) != 3:
+        raise InternalConsistencyError(
+            f"H({quad.gf.q}): the plane of point {x} has {len(plane)} rows, expected 3"
+        )
+    # x has its pivot coordinates as coefficients on the RREF rows (each row
+    # leads with 1), so the two rows left after dropping one that x uses
+    # span a line of pi_x missing x.
+    drop = next(r for r in plane if x[r.index(1)])
+    a, b = (r for r in plane if r is not drop)
+    return {space.rref((x, space.points[z])) for z in space.line_point_indices((a, b))}
+
+
 def build(q: int) -> LineSet:
     """Construct the line set of H(q) naturally embedded in PG(6, q)."""
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
     quad = parabolic_quadric(q)
-    lines = [rows for rows in quad.isotropic_lines() if hexagon_line_predicate(quad, rows)]
+    found = set()
+    for x in quad.points():
+        found |= _lines_through(quad, x)
+    lines = sorted(found)
+    for rows in lines:
+        if not (quad.line_is_isotropic(rows) and hexagon_line_predicate(quad, rows)):
+            raise InternalConsistencyError(
+                f"H({q}) construction built a non-hexagon line {rows}"
+            )
     expected = (q**6 - 1) // (q - 1)
     if len(lines) != expected:
         raise InternalConsistencyError(
             f"H({q}) construction produced {len(lines)} lines, expected {expected}"
         )
-    ls = LineSet(projective_space(6, q), lines, canonical=True)
+    ls = LineSet(quad.space, lines, canonical=True)
     if len(ls.point_lines) != expected:
         raise InternalConsistencyError(
             f"H({q}) covers {len(ls.point_lines)} points, expected {expected}"

@@ -58,6 +58,11 @@ class ParabolicQuadric:
         s = tuple(gf.add_table[a][b] for a, b in zip(x, y))
         return gf.sub_table[gf.sub_table[self.form(s)][self.form(x)]][self.form(y)]
 
+    def polar(self, x) -> tuple[int, ...]:
+        """Coefficients b(x, e_k) of the linear form b(x, .), k = 0..6."""
+        neg, add = self.gf.neg_table, self.gf.add_table
+        return (x[4], x[5], x[6], neg[add[x[3]][x[3]]], x[0], x[1], x[2])
+
     def points(self) -> list[tuple[int, ...]]:
         """All quadric points, in point-table order (cached)."""
         if self._points is None:
@@ -85,7 +90,7 @@ class ParabolicQuadric:
         full line enumeration; for q = 4 the latter is 15x larger.  Since
         Q(x + cy) = Q(x) + c^2 Q(y) + c b(x, y), two quadric points span
         an isotropic line if and only if b(x, y) = 0.  b(x, .) is linear:
-        its coefficients are b(x, e_k).  A pair whose points already
+        its coefficients are ``polar(x)``.  A pair whose points already
         share a found line is skipped, so each line reaches ``rref`` once.
         """
         if self._iso_lines is None:
@@ -93,15 +98,12 @@ class ParabolicQuadric:
             space = self.space
             position = {space.point_index[p]: j for j, p in enumerate(pts)}
             add, mul = self.gf.add_table, self.gf.mul_table
-            units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
             lines = []
             # shared[j]: bitmask of the positions of pts on found lines via pts[j]
             shared = [0] * len(pts)
             for i, x in enumerate(pts):
                 # b(x, y) is the sum over k of m_k[y_k].
-                m0, m1, m2, m3, m4, m5, m6 = (
-                    mul[self.bilinear(x, e)] for e in units
-                )
+                m0, m1, m2, m3, m4, m5, m6 = (mul[c] for c in self.polar(x))
                 for j, y in enumerate(pts[i + 1:], i + 1):
                     if shared[i] >> j & 1 or add[
                         add[add[m0[y[0]]][m1[y[1]]]][add[m2[y[2]]][m3[y[3]]]]

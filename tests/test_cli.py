@@ -74,7 +74,7 @@ class TestBuild:
         assert len(ls) == 63
 
     def test_build_unsupported_q(self, capsys):
-        assert main(["build", "--q", "5"]) == 2
+        assert main(["build", "--q", "7"]) == 2
         assert main(["build", "--q", "6"]) == 2
         err = capsys.readouterr().err
         assert "not a prime power" in err

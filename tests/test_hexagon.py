@@ -1,7 +1,13 @@
+import hashlib
+
 import pytest
 
+import hexaudit.hexagon as hexagon_module
 from hexaudit.errors import InternalConsistencyError
+from hexaudit.formats import dump_lineset
 from hexaudit.hexagon import (
+    _lines_through,
+    _plane_equations,
     build,
     hexagon_line_predicate,
     verify_flat_full,
@@ -9,6 +15,10 @@ from hexaudit.hexagon import (
 from hexaudit.lineset import LineSet
 from hexaudit.pg import projective_space
 from hexaudit.quadric import parabolic_quadric
+
+# SHA-256 of dump_lineset(H(5)), recorded from the isotropic lines of
+# Q(6, 5) filtered by hexagon_line_predicate.
+H5_PGLS_SHA256 = "a97a030086eeffbb76c360aae698b1d9ba3b9e27c4ec96602c3a9f43c60cae67"
 
 
 class TestBuild:
@@ -22,7 +32,7 @@ class TestBuild:
 
     def test_unsupported_q(self):
         with pytest.raises(ValueError):
-            build(5)
+            build(7)
         with pytest.raises(ValueError):
             build(6)
 
@@ -36,6 +46,45 @@ class TestBuild:
         space = h2.space
         covered = {space.points[i] for i in h2.point_lines}
         assert covered == set(quad.points())
+
+
+class TestPlaneConstruction:
+    """``build`` against the filter it replaced: every isotropic line that
+    passes the predicate, and nothing else."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_equals_filtered_isotropic_lines(self, q):
+        quad = parabolic_quadric(q)
+        filtered = tuple(
+            r for r in quad.isotropic_lines() if hexagon_line_predicate(quad, r)
+        )
+        assert build(q).lines == filtered
+
+    @pytest.mark.parametrize("fixture", ["h2", "h3"])
+    def test_each_plane_gives_the_lines_through_its_point(self, fixture, request):
+        ls = request.getfixturevalue(fixture)
+        quad = parabolic_quadric(ls.q)
+        space = quad.space
+        for x in quad.points():
+            assert len(space.nullspace(_plane_equations(quad, x))) == 3
+            through = {ls.lines[li] for li in ls.point_lines[space.point_index[x]]}
+            assert _lines_through(quad, x) == through
+
+    def test_without_the_polar_row_build_raises(self, monkeypatch):
+        equations = hexagon_module._plane_equations
+        monkeypatch.setattr(
+            hexagon_module, "_plane_equations", lambda quad, x: equations(quad, x)[:-1]
+        )
+        with pytest.raises(InternalConsistencyError):
+            build(2)
+
+    def test_h5(self):
+        """H(5): counts, and the PGLS bytes recorded from the isotropic-line
+        filter that built H(q) before the plane construction."""
+        ls = build(5)
+        assert len(ls) == 3906
+        assert len(ls.point_lines) == 3906
+        assert hashlib.sha256(dump_lineset(ls).encode()).hexdigest() == H5_PGLS_SHA256
 
 
 class TestLinePredicate:

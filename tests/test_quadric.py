@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hexaudit.pg import projective_space
@@ -51,6 +53,33 @@ class TestPoints:
         oracle = [p for p in quad.space.points if quad.form(p) == 0]
         assert quad.points() == oracle
         assert len(oracle) == 63
+
+
+def dot(gf, u, v) -> int:
+    s = 0
+    for a, b in zip(u, v):
+        s = gf.add_table[s][gf.mul_table[a][b]]
+    return s
+
+
+class TestPolar:
+    def test_all_pairs_q2(self):
+        quad = parabolic_quadric(2)
+        pts = quad.space.points
+        for x in pts:
+            px = quad.polar(x)
+            for y in pts:
+                assert dot(quad.gf, px, y) == quad.bilinear(x, y)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_random_pairs(self, q):
+        """q = 4 has characteristic 2, where the x3 coefficient -2*x3 is 0."""
+        quad = parabolic_quadric(q)
+        rng = random.Random(q)
+        pts = quad.space.points
+        for _ in range(2000):
+            x, y = rng.choice(pts), rng.choice(pts)
+            assert dot(quad.gf, quad.polar(x), y) == quad.bilinear(x, y)
 
 
 class TestIsotropicLines:
