@@ -7,10 +7,10 @@ identity.  Extension fields use a fixed irreducible modulus, which keeps
 the integer encoding (and therefore every file format) stable across
 runs and machines.
 
-Multiplication is backed by log/antilog tables over a generator and then
-flattened into a full q x q product table, since the audit inner loops
-are dominated by field operations.  All tables are immutable after
-construction; every operation is pure.
+Multiplication reads a full q x q table of the polynomial products, and
+the inverse of a is the column of the 1 in row a of that table; the
+audit inner loops are dominated by field operations.  All tables are
+immutable after construction; every operation is pure.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ class GF:
         self.sub_table = [
             [self.add_table[a][self.neg_table[b]] for b in range(q)] for a in range(q)
         ]
-        self._build_mul_tables()
+        self.mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
+        self.inv_table: list[int | None] = [None] + [
+            self.mul_table[a].index(1) for a in range(1, q)
+        ]
 
     # -- raw coefficient arithmetic, used only to build the tables --
 
@@ -114,36 +117,6 @@ class GF:
                     for j in range(e):
                         prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
         return self._code(prod[: max(e, 1)])
-
-    def _build_mul_tables(self) -> None:
-        q = self.q
-        # Find a generator of the multiplicative group by brute force.
-        gen = None
-        for g in range(1, q):
-            seen, x = set(), 1
-            for _ in range(q - 1):
-                x = self._mul_raw(x, g)
-                seen.add(x)
-            if len(seen) == q - 1:
-                gen = g
-                break
-        assert gen is not None
-        self.exp_table = [0] * (2 * (q - 1))
-        self.log_table = [0] * q
-        x = 1
-        for i in range(q - 1):
-            self.exp_table[i] = x
-            self.exp_table[i + q - 1] = x
-            self.log_table[x] = i
-            x = self._mul_raw(x, gen)
-        exp, log = self.exp_table, self.log_table
-        self.mul_table = [
-            [exp[log[a] + log[b]] if a and b else 0 for b in range(q)]
-            for a in range(q)
-        ]
-        self.inv_table: list[int | None] = [None] + [
-            exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)
-        ]
 
     # -- public scalar operations on integer codes --
 

@@ -70,12 +70,7 @@ def _lines_through(quad: ParabolicQuadric, x) -> set:
         raise InternalConsistencyError(
             f"H({quad.gf.q}): the plane of point {x} has {len(plane)} rows, expected 3"
         )
-    # x has its pivot coordinates as coefficients on the RREF rows (each row
-    # leads with 1), so the two rows left after dropping one that x uses
-    # span a line of pi_x missing x.
-    drop = next(r for r in plane if x[r.index(1)])
-    a, b = (r for r in plane if r is not drop)
-    return {space.rref((x, space.points[z])) for z in space.line_point_indices((a, b))}
+    return set(space.pencil(x, plane))
 
 
 def build(q: int) -> LineSet:

@@ -327,6 +327,19 @@ class PG:
             out.append(idx[self.normalize(v)])
         return tuple(sorted(out))
 
+    def pencil(self, x, plane) -> list:
+        """Sorted canonical bases of the q+1 lines through the point x in a plane.
+
+        ``plane`` must be the three RREF rows of a plane that contains x.
+        x has its pivot coordinates as coefficients on those rows (each row
+        leads with 1), so the two rows left after dropping one that x uses
+        span a line of the plane missing x; x is joined to its points.
+        """
+        drop = next(r for r in plane if x[r.index(1)])
+        a, b = (r for r in plane if r is not drop)
+        pts = self.line_point_indices((a, b))
+        return sorted(self.rref((x, self.points[z])) for z in pts)
+
     def enumerate_subspaces(self, d: int):
         """All d-dimensional subspaces, canonical, in lexicographic order."""
         if not 0 <= d <= self.n:

@@ -17,11 +17,11 @@ name, seed and spec.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 
 from .audit import AxiomConfig, audit
 from .lineset import LineSet
-from .pg import PG, Subspace, projective_space
+from .pg import PG, projective_space
 from .polygon import find_kgon
 
 MODES = ("randomized-greedy", "local-swap")
@@ -50,13 +50,23 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
+        """Spec from a JSON object; unknown keys and integer fields that are
+        not JSON integers are refused."""
+        if not isinstance(d, dict):
+            raise ValueError("a search spec must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        for key, value in d.items():
+            if key not in names:
+                raise ValueError(f"unknown key {key!r}")
+            if key in ("n", "q", "seed", "budget") and type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         return cls(
-            n=int(d["n"]),
-            q=int(d["q"]),
+            n=d["n"],
+            q=d["q"],
             axioms=AxiomConfig.from_names(d["axioms"]),
             mode=d.get("mode", "randomized-greedy"),
-            seed=int(d.get("seed", 0)),
-            budget=int(d.get("budget", 1000)),
+            seed=d.get("seed", 0),
+            budget=d.get("budget", 1000),
             target=d.get("target", "pentagon"),
         )
 
@@ -83,7 +93,7 @@ class SearchResult:
 
 
 class _State:
-    """Incrementally maintained degrees and plane/solid line counts."""
+    """Degrees and plane/solid line counts of the chosen lines, under caps."""
 
     def __init__(self, space: PG, q: int):
         self.space = space
@@ -92,80 +102,62 @@ class _State:
         self.degree: dict[int, int] = {}
         self.plane_counts: dict[bytes, int] = {}
         self.solid_counts: dict[bytes, int] = {}
-        self._line_pts: dict = {}
-        self._line_planes: dict = {}
-        self._line_solids: dict = {}
+        self._memo: dict = {}
+
+    def _incidence(self, key):
+        """(counter, its keys on the line, cap) for points, planes and solids."""
+        inc = self._memo.get(key)
+        if inc is None:
+            space, q = self.space, self.q
+
+            def through(d):
+                if d > space.n:
+                    return ()
+                return tuple(
+                    bytes(x for row in rows for x in row)
+                    for rows in space.subspaces_through_rows(key, d)
+                )
+
+            inc = (
+                (self.degree, space.line_point_indices(key), q + 1),
+                (self.plane_counts, through(2), q + 1),
+                (self.solid_counts, through(3), 2 * q + 1),
+            )
+            self._memo[key] = inc
+        return inc
 
     def line_pts(self, key):
-        pts = self._line_pts.get(key)
-        if pts is None:
-            pts = self.space.line_point_indices(key)
-            self._line_pts[key] = pts
-        return pts
+        return self._incidence(key)[0][1]
 
-    def _incident(self, key, d, cache):
-        subs = cache.get(key)
-        if subs is None:
-            if d > self.space.n:
-                subs = ()
-            else:
-                subs = tuple(
-                    bytes(x for row in rows for x in row)
-                    for rows in self.space.subspaces_through_rows(key, d)
-                )
-            cache[key] = subs
-        return subs
-
-    def line_planes(self, key):
-        return self._incident(key, 2, self._line_planes)
-
-    def line_solids(self, key):
-        return self._incident(key, 3, self._line_solids)
-
-    def can_add(self, keys) -> bool:
-        """Cap check for adding the given new lines as one move."""
-        q = self.q
-        dd: dict[int, int] = {}
-        pp: dict[bytes, int] = {}
-        ss: dict[bytes, int] = {}
+    def _count(self, keys, step: int) -> bool:
+        """Shift every count on the lines by step, deleting counts that reach
+        0; True if some count passes its cap."""
+        over = False
         for key in keys:
-            for p in self.line_pts(key):
-                dd[p] = dd.get(p, 0) + 1
-            for b in self.line_planes(key):
-                pp[b] = pp.get(b, 0) + 1
-            for b in self.line_solids(key):
-                ss[b] = ss.get(b, 0) + 1
-        for p, inc in dd.items():
-            if self.degree.get(p, 0) + inc > q + 1:
-                return False
-        for b, inc in pp.items():
-            if self.plane_counts.get(b, 0) + inc > q + 1:
-                return False
-        for b, inc in ss.items():
-            if self.solid_counts.get(b, 0) + inc > 2 * q + 1:
-                return False
+            for counts, subs, cap in self._incidence(key):
+                for s in subs:
+                    c = counts.get(s, 0) + step
+                    if c:
+                        counts[s] = c
+                        if c > cap:
+                            over = True
+                    else:
+                        del counts[s]
+        return over
+
+    def try_add(self, keys) -> bool:
+        """Add the new lines as one move; undo it and return False if it
+        would push a point, plane or solid past its cap."""
+        assert self.chosen.isdisjoint(keys)
+        if self._count(keys, 1):
+            self._count(keys, -1)
+            return False
+        self.chosen.update(keys)
         return True
 
-    def add(self, keys) -> None:
-        for key in keys:
-            assert key not in self.chosen
-            self.chosen.add(key)
-            for p in self.line_pts(key):
-                self.degree[p] = self.degree.get(p, 0) + 1
-            for b in self.line_planes(key):
-                self.plane_counts[b] = self.plane_counts.get(b, 0) + 1
-            for b in self.line_solids(key):
-                self.solid_counts[b] = self.solid_counts.get(b, 0) + 1
-
     def remove(self, keys) -> None:
-        for key in keys:
-            self.chosen.discard(key)
-            for p in self.line_pts(key):
-                self.degree[p] -= 1
-            for b in self.line_planes(key):
-                self.plane_counts[b] -= 1
-            for b in self.line_solids(key):
-                self.solid_counts[b] -= 1
+        self.chosen.difference_update(keys)
+        self._count(keys, -1)
 
     def dirty_points(self) -> list[int]:
         q = self.q
@@ -184,28 +176,13 @@ class _State:
         return s
 
 
-def _lines_through_in_plane(space: PG, point, plane_rows) -> list:
-    """Canonical keys of the q+1 lines through the point inside the plane."""
-    plane = Subspace(space, plane_rows, canonical=True)
-    keys = set()
-    for other in plane.points():
-        if other == point:
-            continue
-        keys.add(space.rref((point, other)))
-    return sorted(keys)
-
-
-def _pencil_move(state: _State, point_idx: int, plane_rows):
-    """Missing lines of the pencil at the point inside the plane, or None."""
+def _pencil_move(state: _State, point_idx: int, plane_rows) -> bool:
+    """Add the missing lines of the pencil at the point inside the plane;
+    False if none is missing or the caps refuse them."""
     space = state.space
-    point = space.points[point_idx]
-    pencil = _lines_through_in_plane(space, point, plane_rows)
+    pencil = space.pencil(space.points[point_idx], plane_rows)
     missing = [key for key in pencil if key not in state.chosen]
-    if not missing:
-        return None
-    if not state.can_add(missing):
-        return None
-    return missing
+    return bool(missing) and state.try_add(missing)
 
 
 def _target_met(ls: LineSet, target: str) -> bool:
@@ -259,10 +236,7 @@ def run(spec: SearchSpec) -> SearchResult:
             else:
                 plane_rows = None
             if plane_rows is not None:
-                missing = _pencil_move(state, p, plane_rows)
-                if missing is not None:
-                    state.add(missing)
-                    moved = True
+                moved = _pencil_move(state, p, plane_rows)
             if not moved:
                 # Unrepairable point: drop its lines and start over there.
                 state.remove(lines_at_p)
@@ -296,9 +270,7 @@ def run(spec: SearchSpec) -> SearchResult:
                 if not pool:
                     break
                 p = pool[rng.randrange(len(pool))]
-                missing = _pencil_move(state, p, fresh_plane_rows(p))
-                if missing is not None:
-                    state.add(missing)
+                _pencil_move(state, p, fresh_plane_rows(p))
         sc = state.score()
         if best_score is None or sc < best_score:
             best_score = sc

@@ -280,6 +280,13 @@ class TestSearch:
         [
             ({"n": 11, "q": 2, "axioms": ["Pt"]}, "ambient dimension 11"),
             ([], "bad search spec"),
+            ({"n": 4, "q": 2, "axioms": ["Pt"], "mdoe": "local-swap"}, "'mdoe'"),
+            ({"n": 4, "q": 2, "axioms": ["Pt"], "budegt": 5}, "'budegt'"),
+            ({"n": 4, "q": 2, "axioms": ["Pt"], "seed": 1.9}, "seed"),
+            ({"n": 4, "q": 2, "axioms": ["Pt"], "budget": 5.0}, "budget"),
+            ({"n": 4, "q": 2, "axioms": ["Pt"], "budget": True}, "budget"),
+            ({"n": "4", "q": 2, "axioms": ["Pt"]}, "n must"),
+            ({"n": 4, "q": False, "axioms": ["Pt"]}, "q must"),
         ],
     )
     def test_unusable_spec_is_usage_error(self, tmp_path, capsys, doc, reason):

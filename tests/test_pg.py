@@ -242,6 +242,26 @@ class TestLines:
             assert line.contains_vec(space.points[i])
 
 
+def brute_pencil(space, x, plane_rows):
+    """Referee: join x to every other point of the plane, reduce, dedupe."""
+    plane = Subspace(space, plane_rows, canonical=True)
+    return sorted({space.rref((x, y)) for y in plane.points() if y != x})
+
+
+class TestPencil:
+    @pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 4), (4, 3)])
+    def test_equals_brute_force_on_every_plane(self, n, q):
+        space = projective_space(n, q)
+        rng = random.Random(n * 100 + q)
+        picks = {0, len(space.points) - 1, *rng.sample(range(len(space.points)), 4)}
+        for i in sorted(picks):
+            x = space.points[i]
+            for plane_rows in space.subspaces_through_rows((x,), 2):
+                pencil = space.pencil(x, plane_rows)
+                assert len(pencil) == q + 1
+                assert pencil == brute_pencil(space, x, plane_rows)
+
+
 class TestSubspacesThrough:
     def test_count_matches_quotient_oracle(self):
         space = projective_space(4, 2)

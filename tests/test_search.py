@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 
 from hexaudit.audit import AxiomConfig, audit
+from hexaudit.formats import dump_lineset
 from hexaudit.pg import projective_space
 from hexaudit.search import (
+    MODES,
     SearchSpec,
     _State,
-    _lines_through_in_plane,
     _pencil_move,
     _target_met,
     run,
@@ -54,13 +57,12 @@ class TestState:
         state = _State(space, 2)
         point = space.points[0]
         plane_rows = space.subspaces_through_rows((point,), 2)[0]
-        pencil = _lines_through_in_plane(space, point, plane_rows)
+        pencil = space.pencil(point, plane_rows)
         assert len(pencil) == 3
-        missing = _pencil_move(state, 0, plane_rows)
-        assert sorted(missing) == pencil
-        state.add(missing)
+        assert _pencil_move(state, 0, plane_rows)
+        assert sorted(state.chosen) == pencil
         # The pencil is complete: no move left at this point and plane.
-        assert _pencil_move(state, 0, plane_rows) is None
+        assert not _pencil_move(state, 0, plane_rows)
         assert state.degree[0] == 3
         assert state.score() > 0  # other pencil points are dirty
 
@@ -69,22 +71,33 @@ class TestState:
         state = _State(space, 2)
         point = space.points[5]
         plane_rows = space.subspaces_through_rows((point,), 2)[0]
-        missing = _pencil_move(state, 5, plane_rows)
-        state.add(missing)
-        state.remove(missing)
+        pencil = space.pencil(point, plane_rows)
+        assert state.try_add(pencil)
+        state.remove(pencil)
         assert not state.chosen
         assert all(d == 0 for d in state.degree.values())
         assert all(c == 0 for c in state.plane_counts.values())
         assert all(c == 0 for c in state.solid_counts.values())
+        # Counts that return to 0 are deleted.
+        assert not (state.degree or state.plane_counts or state.solid_counts)
 
     def test_degree_cap_blocks_overfull_point(self):
         space = projective_space(4, 2)
         state = _State(space, 2)
         point = space.points[0]
         planes = space.subspaces_through_rows((point,), 2)
-        state.add(_pencil_move(state, 0, planes[0]))
-        # A second pencil at the same point would exceed degree q+1.
-        assert _pencil_move(state, 0, planes[1]) is None
+        assert _pencil_move(state, 0, planes[0])
+        before = (
+            set(state.chosen),
+            dict(state.degree),
+            dict(state.plane_counts),
+            dict(state.solid_counts),
+        )
+        # A second pencil at the same point would exceed degree q+1, and the
+        # refused move leaves the state as it was.
+        assert not _pencil_move(state, 0, planes[1])
+        after = (state.chosen, state.degree, state.plane_counts, state.solid_counts)
+        assert after == before
 
 
 class TestTargets:
@@ -125,3 +138,26 @@ class TestRun:
     def test_local_swap_mode_runs(self):
         res = run(make_spec(mode="local-swap", budget=100, seed=2))
         assert res.iterations <= 100
+
+    def test_logs_match_recorded_digest(self):
+        """Pins the search across commits, where replay only compares two runs
+        of the same code. The digest was recorded before `_State` was rebuilt
+        around one incidence memo per line and before moves used `PG.pencil`;
+        any change to the RNG call order, the moves, the caps or the log
+        format shows here."""
+        grid = [(4, 2, 0, 150), (4, 2, 1, 150), (6, 2, 1, 60), (6, 2, 2, 60)]
+        specs = [
+            make_spec(n=n, q=q, mode=mode, seed=seed, budget=budget)
+            for mode in MODES
+            for n, q, seed, budget in grid
+        ]
+        specs.append(make_spec(n=4, q=3, seed=0, budget=60))
+        digest = hashlib.sha256()
+        for spec in specs:
+            res = run(spec)
+            digest.update(res.log.encode())
+            found = dump_lineset(res.found) if res.found is not None else "none\n"
+            digest.update(found.encode())
+        assert digest.hexdigest() == (
+            "2c6e852b7d94f3ce4d5f520cf5dc6aecf3bdc538b19e71f323fc7b0cb54f8eda"
+        )
