@@ -43,7 +43,7 @@ from functools import cached_property
 
 from .errors import InternalConsistencyError
 from .lineset import LineSet
-from .pg import Subspace, gaussian_binomial
+from .pg import gaussian_binomial
 
 DEDUP_SCHEME = "multiplicity-sum"
 
@@ -445,97 +445,3 @@ def audit(ls: LineSet, cfg: AxiomConfig) -> AuditReport:
 def naive_audit(ls: LineSet, cfg: AxiomConfig) -> AuditReport:
     """Oracle audit by full subspace enumeration; must match `audit` exactly."""
     return _audit(ls, cfg, _dict_source(ls, _naive_counts))
-
-
-@dataclass
-class ExpansionReport:
-    lines_in_m: int
-    meets_unique_s: bool | None
-    alpha: int | None
-    alpha_at_most_q: bool | None
-    bound: int
-    holds: bool
-
-
-def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
-    """Check the line-count expansion inequality for a line leaving ``m``.
-
-    With L_M the lines inside m and l a line of L meeting m in exactly
-    one point: if l meets no line of L_M, |L| >= q|L_M| + 1; if it meets
-    a line s with a (alpha = number of full-pencil points of m on s),
-    |L| >= q|L_M| - alpha q^2 + alpha q + 1.
-    """
-    from .polygon import _full_pencil_points
-
-    if isinstance(l, Subspace):
-        lrows = l.rows
-    else:
-        lrows = ls.space.rref(l)
-    if lrows not in ls:
-        raise ValueError("l is not a line of the set")
-    lsub = Subspace(ls.space, lrows, canonical=True)
-    inter = ls.space.meet(lsub, m)
-    if inter.projdim != 0:
-        raise ValueError("l must meet the subspace in exactly one point")
-    q = ls.q
-    in_m = [ls.lines[li] for li in sorted(ls.lines_in(m))]
-    lm = len(in_m)
-    l_pts = set(ls.space.line_point_indices(lrows))
-    meeting = [
-        key
-        for key in in_m
-        if l_pts & set(ls.space.line_point_indices(key))
-    ]
-    if not meeting:
-        bound = q * lm + 1
-        return ExpansionReport(lm, None, None, None, bound, len(ls.lines) >= bound)
-    s = meeting[0]
-    special = _full_pencil_points(ls, m)
-    alpha = sum(1 for p in ls.space.line_point_indices(s) if p in special)
-    bound = q * lm - alpha * q**2 + alpha * q + 1
-    return ExpansionReport(
-        lines_in_m=lm,
-        meets_unique_s=len(meeting) == 1,
-        alpha=alpha,
-        alpha_at_most_q=alpha <= q,
-        bound=bound,
-        holds=len(ls.lines) >= bound,
-    )
-
-
-@dataclass
-class HyperplaneConsequenceReport:
-    vacuous: bool
-    bound: int
-    best_count: int | None
-    hyperplane: Subspace | None
-    span_dim_at_most_6: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.vacuous or (
-            self.best_count is not None and self.best_count >= self.bound
-        )
-
-
-def hyperplane_consequence_check(ls: LineSet) -> HyperplaneConsequenceReport:
-    """If the set has a pentagon, a 5-space through its span must carry at
-    least q^4 - q^3 + 3q^2 + 2q + 1 lines; also the whole set must span at
-    most a 6-space.  Preconditions (Pt), (Pl), (Sd), (To) are the caller's.
-    """
-    from .polygon import find_kgon, pentagon_span_check
-
-    q = ls.q
-    bound = q**4 - q**3 + 3 * q**2 + 2 * q + 1
-    sdim_ok = ls.span_dim() <= 6
-    gon = find_kgon(ls, 5)
-    if gon is None:
-        return HyperplaneConsequenceReport(True, bound, None, None, sdim_ok)
-    u = pentagon_span_check(ls, gon).span
-    best, best_h = -1, None
-    if u.projdim < 5 <= ls.n:
-        for h in ls.space.subspaces_through(u, 5):
-            c = len(ls.lines_in(h))
-            if c > best:
-                best, best_h = c, h
-    return HyperplaneConsequenceReport(False, bound, best, best_h, sdim_ok)

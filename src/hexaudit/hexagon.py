@@ -125,13 +125,11 @@ def verify_flat_full(ls: LineSet) -> FlatFullReport:
     embedding is full; the order check additionally requires a common
     point degree.
     """
-    space = ls.space
     non_planar = []
     degrees: dict[int, int] = {}
     for pi, line_ids in ls.point_lines.items():
         degrees[len(line_ids)] = degrees.get(len(line_ids), 0) + 1
-        rows = [r for li in line_ids for r in ls.lines[li]]
-        if len(space.rref(rows)) - 1 > 2:
+        if ls.pencil_span(pi).projdim > 2:
             non_planar.append(pi)
     flat = not non_planar
     order = None

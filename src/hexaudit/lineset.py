@@ -57,6 +57,18 @@ class LineSet:
     def degree(self, point_index: int) -> int:
         return len(self.point_lines.get(point_index, ()))
 
+    def line_through(self, a: int, b: int) -> int | None:
+        """Id of the line of the set through the distinct points a and b, or None."""
+        for li in self.point_lines.get(a, ()):
+            if b in self.line_points[li]:
+                return li
+        return None
+
+    def pencil_span(self, point_index: int) -> Subspace:
+        """The span of the lines of the set through the point."""
+        rows = [r for li in self.point_lines[point_index] for r in self.lines[li]]
+        return self.space.subspace(rows)
+
     def span_rows(self) -> tuple:
         rows = [r for key in self.lines for r in key]
         return self.space.rref(rows)

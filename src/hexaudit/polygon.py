@@ -2,9 +2,10 @@
 
 A k-gon of a line set is a cyclically ordered tuple of k distinct
 points, consecutive ones joined by lines of the set, with all k edge
-lines distinct.  Search is a DFS over the collinearity structure with a
-canonical minimal start vertex and breadth-first distance pruning, so
-the returned k-gon is deterministic ("first in canonical order").
+lines distinct.  Search is a DFS over the set's own incidence indexes
+(``LineSet.point_lines`` and ``line_points``) with a canonical minimal
+start vertex and breadth-first distance pruning, so the returned k-gon
+is deterministic ("first in canonical order").
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .audit import AxiomConfig, audit
 from .lineset import LineSet
 from .pg import Subspace
 
@@ -29,115 +31,75 @@ class KGon:
         return len(self.vertices)
 
 
-def _collinearity(ls: LineSet):
-    """Neighbor lists and the (point pair) -> line id map."""
-    nbrs: dict[int, set[int]] = {}
-    pair_line: dict[tuple[int, int], int] = {}
-    for li, pts in enumerate(ls.line_points):
-        for i, a in enumerate(pts):
-            for b in pts[i + 1:]:
-                pair_line[(a, b)] = li
-                pair_line[(b, a)] = li
-                nbrs.setdefault(a, set()).add(b)
-                nbrs.setdefault(b, set()).add(a)
-    return {p: sorted(s) for p, s in nbrs.items()}, pair_line
+def _kgons(ls: LineSet, k: int):
+    """Every k-gon, in canonical order: the smallest vertex starts, then
+    neighbours ascending.  Each point's neighbours are (w, line id) pairs
+    sorted by w; a breadth-first distance bound prunes paths that cannot
+    close within the remaining steps."""
+    nbrs = {
+        p: sorted((w, li) for li in lines for w in ls.line_points[li] if w != p)
+        for p, lines in ls.point_lines.items()
+    }
+    for start in nbrs:  # point_lines is sorted by point
+        dist = {start: 0}
+        frontier = deque([start])
+        while frontier:
+            v = frontier.popleft()
+            if dist[v] <= k // 2:
+                for w, _ in nbrs[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        frontier.append(w)
+        path, used = [start], []
 
+        def extend(v):
+            remaining = k - len(path)
+            if not remaining:
+                li = ls.line_through(v, start)
+                if li is not None and li not in used:
+                    yield KGon(tuple(path), tuple(used) + (li,))
+                return
+            for w, li in nbrs[v]:
+                if w > start and w not in path and li not in used and (
+                    dist.get(w, k) <= remaining
+                ):
+                    path.append(w)
+                    used.append(li)
+                    yield from extend(w)
+                    path.pop()
+                    used.pop()
 
-def _bfs_dist(nbrs, start: int, limit: int) -> dict[int, int]:
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        v = frontier.popleft()
-        d = dist[v]
-        if d >= limit:
-            continue
-        for w in nbrs.get(v, ()):
-            if w not in dist:
-                dist[w] = d + 1
-                frontier.append(w)
-    return dist
-
-
-def _kgon_dfs(ls: LineSet, k: int, collect: list | None = None) -> KGon | None:
-    """First k-gon in canonical order, or all of them when collecting."""
-    nbrs, pair_line = _collinearity(ls)
-    for start in sorted(nbrs):
-        dist = _bfs_dist(nbrs, start, k // 2 + 1)
-        path = [start]
-        lines_used: list[int] = []
-        found = _extend(ls, k, nbrs, pair_line, dist, start, path, lines_used, collect)
-        if found is not None and collect is None:
-            return found
-    if collect is not None and collect:
-        return collect[0]
-    return None
-
-
-def _extend(ls, k, nbrs, pair_line, dist, start, path, lines_used, collect):
-    v = path[-1]
-    if len(path) == k:
-        li = pair_line.get((v, start))
-        if li is None or li in lines_used:
-            return None
-        gon = KGon(tuple(path), tuple(lines_used) + (li,))
-        if collect is not None:
-            collect.append(gon)
-            return None
-        return gon
-    remaining = k - len(path)
-    for w in nbrs[v]:
-        # Canonical start = minimal vertex; remaining steps must reach back.
-        if w <= start or w in path:
-            continue
-        if dist.get(w, k + 1) > remaining:
-            continue
-        li = pair_line[(v, w)]
-        if li in lines_used:
-            continue
-        path.append(w)
-        lines_used.append(li)
-        got = _extend(ls, k, nbrs, pair_line, dist, start, path, lines_used, collect)
-        path.pop()
-        lines_used.pop()
-        if got is not None:
-            return got
-    return None
+        yield from extend(start)
 
 
 def find_kgon(ls: LineSet, k: int) -> KGon | None:
-    """Some k-gon of the line set if one exists, else None (deterministic)."""
+    """The first k-gon of the line set in canonical order, or None."""
     if not 2 <= k <= 6:
         raise ValueError(f"k must be in [2, 6], got {k}")
-    return _kgon_dfs(ls, k)
+    return next(_kgons(ls, k), None)
 
 
 def all_kgons(ls: LineSet, k: int) -> list[KGon]:
     """Every k-gon, as directed started tuples, deduplicated up to symmetry."""
     if not 2 <= k <= 6:
         raise ValueError(f"k must be in [2, 6], got {k}")
-    raw: list[KGon] = []
-    _kgon_dfs(ls, k, collect=raw)
     seen = {}
-    for gon in raw:
+    for gon in _kgons(ls, k):
         vs = gon.vertices
         rotations = [vs[i:] + vs[:i] for i in range(len(vs))]
         rotations += [tuple(reversed(r)) for r in rotations]
-        key = min(rotations)
-        if key not in seen:
-            seen[key] = gon
+        seen.setdefault(min(rotations), gon)
     return [seen[key] for key in sorted(seen)]
 
 
 def is_kgon_of(ls: LineSet, gon: KGon) -> bool:
     if len(set(gon.vertices)) != gon.k or len(set(gon.edges)) != gon.k:
         return False
-    nbrs, pair_line = _collinearity(ls)
     vs = gon.vertices
-    for i in range(gon.k):
-        a, b = vs[i], vs[(i + 1) % gon.k]
-        if pair_line.get((a, b)) != gon.edges[i]:
-            return False
-    return True
+    return all(
+        ls.line_through(vs[i], vs[(i + 1) % gon.k]) == gon.edges[i]
+        for i in range(gon.k)
+    )
 
 
 def girth_and_diameter(ls: LineSet):
@@ -246,8 +208,7 @@ def pencil_plane_qp1_bound(ls: LineSet, m: Subspace):
     special = _full_pencil_points(ls, m)
     counts = {}
     for p in sorted(special):
-        rows = [r for li in ls.point_lines[p] for r in ls.lines[li]]
-        plane = space.subspace(rows)
+        plane = ls.pencil_span(p)
         inside = sum(
             1 for x in special if plane.contains_vec(space.points[x])
         )
@@ -280,8 +241,6 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
     Requires the point/plane/solid axioms; the caller must have audited
     them (the build entry points do).
     """
-    from .audit import AxiomConfig, audit
-
     rep = audit(ls, AxiomConfig.from_names(["Pt", "Pl", "Sd"]))
     if not rep.passed:
         raise ValueError("line set fails (Pt)/(Pl)/(Sd); refusing the check")
@@ -291,7 +250,6 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
         raise ValueError("subspace contains no pentagon")
     special = _full_pencil_points(ls, u)
     space = ls.space
-    _, pair_line = _collinearity(ls)
 
     vertex_sets = [set(g.vertices) for g in pentagons]
     in_pentagon = set().union(*vertex_sets)
@@ -300,14 +258,13 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
     for p in sorted(special):
         for g, vs in zip(pentagons, vertex_sets):
             for v in vs:
-                if v != p and (p, v) in pair_line:
+                if v != p and ls.line_through(p, v) is not None:
                     if not any(p in ws and v in ws for ws in vertex_sets):
                         violations_a.append((p, v))
     violations_b = [p for p in sorted(special) if p not in in_pentagon]
     violations_c = []
     for p in sorted(special):
-        rows = [r for li in ls.point_lines[p] for r in ls.lines[li]]
-        plane = space.subspace(rows)
+        plane = ls.pencil_span(p)
         in_plane = [
             x for x in sorted(special) if plane.contains_vec(space.points[x])
         ]
@@ -318,7 +275,7 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
                 if rpt == p:
                     continue
                 if rpt != qpt:
-                    li = pair_line.get((p, qpt))
+                    li = ls.line_through(p, qpt)
                     if li is not None and rpt in ls.line_points[li]:
                         continue  # R on line PQ: hypothesis not met
                 if not any(
@@ -332,3 +289,93 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
         violations_b=violations_b,
         violations_c=sorted(set(violations_c)),
     )
+
+
+@dataclass
+class ExpansionReport:
+    lines_in_m: int
+    meets_unique_s: bool | None
+    alpha: int | None
+    alpha_at_most_q: bool | None
+    bound: int
+    holds: bool
+
+
+def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
+    """Check the line-count expansion inequality for a line leaving ``m``.
+
+    With L_M the lines inside m and l a line of L meeting m in exactly
+    one point: if l meets no line of L_M, |L| >= q|L_M| + 1; if it meets
+    a line s with a (alpha = number of full-pencil points of m on s),
+    |L| >= q|L_M| - alpha q^2 + alpha q + 1.
+    """
+    if isinstance(l, Subspace):
+        lrows = l.rows
+    else:
+        lrows = ls.space.rref(l)
+    if lrows not in ls:
+        raise ValueError("l is not a line of the set")
+    lsub = Subspace(ls.space, lrows, canonical=True)
+    inter = ls.space.meet(lsub, m)
+    if inter.projdim != 0:
+        raise ValueError("l must meet the subspace in exactly one point")
+    q = ls.q
+    in_m = [ls.lines[li] for li in sorted(ls.lines_in(m))]
+    lm = len(in_m)
+    l_pts = set(ls.space.line_point_indices(lrows))
+    meeting = [
+        key
+        for key in in_m
+        if l_pts & set(ls.space.line_point_indices(key))
+    ]
+    if not meeting:
+        bound = q * lm + 1
+        return ExpansionReport(lm, None, None, None, bound, len(ls.lines) >= bound)
+    s = meeting[0]
+    special = _full_pencil_points(ls, m)
+    alpha = sum(1 for p in ls.space.line_point_indices(s) if p in special)
+    bound = q * lm - alpha * q**2 + alpha * q + 1
+    return ExpansionReport(
+        lines_in_m=lm,
+        meets_unique_s=len(meeting) == 1,
+        alpha=alpha,
+        alpha_at_most_q=alpha <= q,
+        bound=bound,
+        holds=len(ls.lines) >= bound,
+    )
+
+
+@dataclass
+class HyperplaneConsequenceReport:
+    vacuous: bool
+    bound: int
+    best_count: int | None
+    hyperplane: Subspace | None
+    span_dim_at_most_6: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.vacuous or (
+            self.best_count is not None and self.best_count >= self.bound
+        )
+
+
+def hyperplane_consequence_check(ls: LineSet) -> HyperplaneConsequenceReport:
+    """If the set has a pentagon, a 5-space through its span must carry at
+    least q^4 - q^3 + 3q^2 + 2q + 1 lines; also the whole set must span at
+    most a 6-space.  Preconditions (Pt), (Pl), (Sd), (To) are the caller's.
+    """
+    q = ls.q
+    bound = q**4 - q**3 + 3 * q**2 + 2 * q + 1
+    sdim_ok = ls.span_dim() <= 6
+    gon = find_kgon(ls, 5)
+    if gon is None:
+        return HyperplaneConsequenceReport(True, bound, None, None, sdim_ok)
+    u = pentagon_span_check(ls, gon).span
+    best, best_h = -1, None
+    if u.projdim < 5 <= ls.n:
+        for h in ls.space.subspaces_through(u, 5):
+            c = len(ls.lines_in(h))
+            if c > best:
+                best, best_h = c, h
+    return HyperplaneConsequenceReport(False, bound, best, best_h, sdim_ok)

@@ -50,8 +50,9 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
-        """Spec from a JSON object; unknown keys and integer fields that are
-        not JSON integers are refused."""
+        """Spec from a JSON object; unknown or missing keys, integer fields
+        that are not JSON integers and axioms that are not a list of
+        strings are refused."""
         if not isinstance(d, dict):
             raise ValueError("a search spec must be a JSON object")
         names = {f.name for f in fields(cls)}
@@ -60,10 +61,16 @@ class SearchSpec:
                 raise ValueError(f"unknown key {key!r}")
             if key in ("n", "q", "seed", "budget") and type(value) is not int:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("n", "q", "axioms"):
+            if key not in d:
+                raise ValueError(f"missing required key {key!r}")
+        axioms = d["axioms"]
+        if type(axioms) is not list or not all(type(a) is str for a in axioms):
+            raise ValueError(f"axioms must be a list of strings, got {axioms!r}")
         return cls(
             n=d["n"],
             q=d["q"],
-            axioms=AxiomConfig.from_names(d["axioms"]),
+            axioms=AxiomConfig.from_names(axioms),
             mode=d.get("mode", "randomized-greedy"),
             seed=d.get("seed", 0),
             budget=d.get("budget", 1000),

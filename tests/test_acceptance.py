@@ -12,7 +12,6 @@ from hexaudit.audit import (
     AxiomConfig,
     _closure_counts,
     audit,
-    hyperplane_consequence_check,
     naive_audit,
 )
 from hexaudit.cli import main
@@ -20,7 +19,12 @@ from hexaudit.gf import is_prime_power
 from hexaudit.hexagon import build, build_cached, verify_flat_full
 from hexaudit.lineset import LineSet
 from hexaudit.pg import projective_space
-from hexaudit.polygon import find_kgon, girth_and_diameter, pentagon_span_check
+from hexaudit.polygon import (
+    find_kgon,
+    girth_and_diameter,
+    hyperplane_consequence_check,
+    pentagon_span_check,
+)
 from hexaudit.quadric import SectionType, parabolic_quadric
 from hexaudit.search import SearchSpec, run as run_search
 from hexaudit.srg import SrgParams, eigenvalues, is_conference, q_feasible

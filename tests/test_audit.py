@@ -18,14 +18,13 @@ from hexaudit.audit import (
     _violates,
     audit,
     axiom_allowed,
-    expansion_bound,
-    hyperplane_consequence_check,
     naive_audit,
 )
 from hexaudit.formats import dump_lineset, dumps_report, report_document
 from hexaudit.hexagon import build
 from hexaudit.lineset import LineSet
 from hexaudit.pg import gaussian_binomial, projective_space
+from hexaudit.polygon import expansion_bound, hyperplane_consequence_check
 
 # Benchmark goldens, read only: PGLS digests and report documents.
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"

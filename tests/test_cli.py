@@ -287,6 +287,9 @@ class TestSearch:
             ({"n": 4, "q": 2, "axioms": ["Pt"], "budget": True}, "budget"),
             ({"n": "4", "q": 2, "axioms": ["Pt"]}, "n must"),
             ({"n": 4, "q": False, "axioms": ["Pt"]}, "q must"),
+            ({"n": 4, "q": 2, "axioms": [1]}, "axioms must be a list of strings"),
+            ({"n": 4, "q": 2, "axioms": "Pt"}, "axioms must be a list of strings"),
+            ({"q": 2, "axioms": ["Pt"]}, "missing required key 'n'"),
         ],
     )
     def test_unusable_spec_is_usage_error(self, tmp_path, capsys, doc, reason):

@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hexaudit.polygon as polygon_module
 from hexaudit.lineset import LineSet
 from hexaudit.pg import projective_space
 from hexaudit.polygon import (
@@ -21,6 +22,19 @@ from hexaudit.polygon import (
 
 def unit(space, i):
     return tuple(1 if j == i else 0 for j in range(space.width))
+
+
+def lineset_from_pairs(space_key, pairs):
+    """The lines joining pairs of point indices (taken modulo the number of
+    points; a pair of equal points is dropped)."""
+    space = projective_space(*space_key)
+    pts = space.points
+    keys = set()
+    for a, b in pairs:
+        a, b = a % len(pts), b % len(pts)
+        if a != b:
+            keys.add(space.rref((pts[a], pts[b])))
+    return LineSet(space, keys, canonical=True)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +64,34 @@ def two_pencil_ls():
         (e1, gf_add(e0, e3)),
     ]
     return LineSet(space, pairs)
+
+
+class TestLineSetPrimitives:
+    def test_line_through_matches_point_pairs(self, h2):
+        pair_line = {
+            (a, b): li
+            for li, pts in enumerate(h2.line_points)
+            for a in pts
+            for b in pts
+            if a != b
+        }
+        for a in h2.point_lines:
+            for b in h2.point_lines:
+                if a != b:
+                    assert h2.line_through(a, b) == pair_line.get((a, b))
+
+    def test_line_through_uncovered_point(self, pentagon_ls):
+        covered = set(pentagon_ls.point_lines)
+        free = next(p for p in range(len(pentagon_ls.space.points)) if p not in covered)
+        assert pentagon_ls.line_through(free, min(covered)) is None
+        assert pentagon_ls.line_through(min(covered), free) is None
+
+    def test_pencil_span_is_the_pencil_plane(self, h2):
+        for p, line_ids in h2.point_lines.items():
+            span = h2.pencil_span(p)
+            assert span.projdim == 2
+            for li in line_ids:
+                assert span.contains(h2.space.subspace(h2.lines[li]))
 
 
 class TestFindKGon:
@@ -102,6 +144,110 @@ class TestIsKGon:
         gon = find_kgon(pentagon_ls, 5)
         broken = KGon(gon.vertices, (gon.edges[0],) * 5)
         assert not is_kgon_of(pentagon_ls, broken)
+
+    def test_edge_line_missing_an_endpoint_rejected(self, pentagon_ls):
+        """Edge i must be the line through v_i and v_(i+1); a line of the
+        set through v_i alone does not count."""
+        gon = find_kgon(pentagon_ls, 5)
+        v0, v1 = gon.vertices[:2]
+        # The pentagon's other line through v0 is the closing edge v4 v0.
+        other = next(li for li in pentagon_ls.point_lines[v0] if li != gon.edges[0])
+        assert v1 not in pentagon_ls.line_points[other]
+        swapped = KGon(gon.vertices, (other,) + gon.edges[1:4] + (gon.edges[0],))
+        assert len(set(swapped.edges)) == 5
+        assert not is_kgon_of(pentagon_ls, swapped)
+
+
+def reference_kgons(ls, k, collect=None):
+    """First k-gon in canonical order, or all of them when collecting, by a
+    DFS over a (point pair) -> line map: the referee for the search over
+    the LineSet's own incidence indexes."""
+    nbrs: dict = {}
+    pair_line: dict = {}
+    for li, pts in enumerate(ls.line_points):
+        for i, a in enumerate(pts):
+            for b in pts[i + 1:]:
+                pair_line[(a, b)] = li
+                pair_line[(b, a)] = li
+                nbrs.setdefault(a, set()).add(b)
+                nbrs.setdefault(b, set()).add(a)
+    nbrs = {p: sorted(s) for p, s in nbrs.items()}
+
+    def extend(start, dist, path, lines_used):
+        v = path[-1]
+        if len(path) == k:
+            li = pair_line.get((v, start))
+            if li is None or li in lines_used:
+                return None
+            gon = KGon(tuple(path), tuple(lines_used) + (li,))
+            if collect is not None:
+                collect.append(gon)
+                return None
+            return gon
+        remaining = k - len(path)
+        for w in nbrs[v]:
+            if w <= start or w in path or dist.get(w, k + 1) > remaining:
+                continue
+            li = pair_line[(v, w)]
+            if li in lines_used:
+                continue
+            got = extend(start, dist, path + [w], lines_used + [li])
+            if got is not None:
+                return got
+        return None
+
+    for start in sorted(nbrs):
+        dist = {start: 0}
+        frontier = deque([start])
+        while frontier:
+            v = frontier.popleft()
+            if dist[v] >= k // 2 + 1:
+                continue
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    frontier.append(w)
+        found = extend(start, dist, [start], [])
+        if found is not None:
+            return found
+    return collect[0] if collect else None
+
+
+def reference_all_kgons(ls, k):
+    raw: list = []
+    reference_kgons(ls, k, collect=raw)
+    seen = {}
+    for gon in raw:
+        vs = gon.vertices
+        rotations = [vs[i:] + vs[:i] for i in range(len(vs))]
+        rotations += [tuple(reversed(r)) for r in rotations]
+        seen.setdefault(min(rotations), gon)
+    return [seen[key] for key in sorted(seen)]
+
+
+class TestKGonsAgainstReference:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_h2(self, h2, k):
+        assert find_kgon(h2, k) == reference_kgons(h2, k)
+        assert all_kgons(h2, k) == reference_all_kgons(h2, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_h3(self, h3, k):
+        assert find_kgon(h3, k) == reference_kgons(h3, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        space_key=st.sampled_from([(3, 2), (4, 2), (4, 3)]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=16,
+        ),
+        k=st.integers(2, 6),
+    )
+    def test_random_sets_match_reference(self, space_key, pairs, k):
+        ls = lineset_from_pairs(space_key, pairs)
+        assert find_kgon(ls, k) == reference_kgons(ls, k)
+        assert all_kgons(ls, k) == reference_all_kgons(ls, k)
 
 
 class TestGirthDiameter:
@@ -175,14 +321,7 @@ class TestGirthDiameterAgainstReference:
     # Two disjoint lines of PG(3, 2): acyclic and disconnected.
     @example(space_key=(3, 2), pairs=[(0, 1), (3, 7)])
     def test_random_sets_match_reference(self, space_key, pairs):
-        space = projective_space(*space_key)
-        pts = space.points
-        keys = set()
-        for a, b in pairs:
-            a, b = a % len(pts), b % len(pts)
-            if a != b:
-                keys.add(space.rref((pts[a], pts[b])))
-        ls = LineSet(space, keys, canonical=True)
+        ls = lineset_from_pairs(space_key, pairs)
         assert girth_and_diameter(ls) == reference_girth_and_diameter(ls)
 
 
@@ -251,3 +390,28 @@ class TestPentagonExtension:
         u = next(iter(h2.space.enumerate_subspaces(4)))
         with pytest.raises(ValueError):
             pentagon_extension_check(h2, u)
+
+    def test_violations_on_small_set(self, monkeypatch):
+        """The checks themselves, on a set that fails (Pt): the axiom guard
+        is stubbed.  A pentagon e0..e4 of PG(4, 2), x = e1 + e4 joined to
+        e0, e2 and e3, and two more lines; the report was recorded from
+        the (point pair) -> line map version of the check."""
+
+        class Passed:
+            passed = True
+
+        monkeypatch.setattr(polygon_module, "audit", lambda ls, cfg: Passed())
+        space = projective_space(4, 2)
+        e = [unit(space, i) for i in range(5)]
+        x = (0, 1, 0, 0, 1)
+        pairs = [(e[i], e[(i + 1) % 5]) for i in range(5)]
+        pairs += [(e[0], x), (x, e[2]), (x, e[3])]
+        pairs += [(x, (0, 0, 0, 1, 1)), ((1, 0, 1, 0, 0), (0, 0, 0, 1, 1))]
+        rep = pentagon_extension_check(LineSet(space, pairs), space.whole_space())
+        assert (rep.num_pentagons, rep.num_special_points) == (3, 4)
+        assert rep.violations_a == [(2, 0), (2, 1), (2, 8)]
+        assert rep.violations_b == [2]
+        assert rep.violations_c == [
+            (1, 2, 2), (1, 2, 3), (1, 3, 2), (2, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)
+        ]
+        assert not rep.ok
