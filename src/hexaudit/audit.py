@@ -13,7 +13,8 @@ process:
 * Every hyperplane h, a point of the dual space indexed through the
   ambient point table, gets an int bitmask B[h] of the lines of L inside
   it, and every line l a bitmask H[l] of the hyperplanes containing it,
-  both filled from bit-sliced coordinates (``_orthogonal``).
+  both filled from bit-sliced coordinates by one per-coordinate step
+  (``_step``): B in one depth-first walk over the hyperplanes, H per row.
 * A d-subspace U is cut out by the n-d rows of its annihilator's RREF,
   so |L_U| is the popcount of the AND of B over those rows.
 * Annihilator RREFs are enumerated pivot set first.  Once the pivots are
@@ -80,8 +81,13 @@ class AxiomConfig:
 
     @classmethod
     def from_names(cls, names) -> "AxiomConfig":
+        """Config from a list, tuple or set of axiom names or aliases."""
+        if not isinstance(names, (list, tuple, set, frozenset)):
+            raise ValueError(f"axioms must be a list of strings, got {names!r}")
         canonical = set()
         for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"axioms must be a list of strings, got item {name!r}")
             key = _ALIASES.get(name.strip().lower())
             if key is None:
                 raise ValueError(f"unknown axiom name: {name!r}")
@@ -183,20 +189,26 @@ def _bit_slices(vectors, width: int, q: int) -> list[list[int]]:
     return sl
 
 
+def _step(part, col, f, gf) -> list[int]:
+    """The partial-sum masks after adding f times one coordinate, whose
+    slices are ``col``: ``part[s]`` holds the vectors whose sum so far is s."""
+    if not f:
+        return part
+    add, mf, new = gf.add_table, gf.mul_table[f], [0] * gf.q
+    for s, m in enumerate(part):
+        if m:
+            row = add[s]
+            for a, vs in enumerate(col):
+                new[row[mf[a]]] |= m & vs
+    return new
+
+
 def _orthogonal(sl, form, gf) -> int:
-    """The bitmask of the vectors v with form . v == 0; ``part[s]`` holds those
-    whose partial sum is s (the slices of one coordinate sum to all vectors)."""
-    add, mul = gf.add_table, gf.mul_table
+    """The bitmask of the vectors v with form . v == 0 (the slices of one
+    coordinate sum to all vectors)."""
     part = [sum(sl[0])] + [0] * (gf.q - 1)
     for col, f in zip(sl, form):
-        if f:
-            mf, new = mul[f], [0] * gf.q
-            for s, m in enumerate(part):
-                if m:
-                    row = add[s]
-                    for a, vs in enumerate(col):
-                        new[row[mf[a]]] |= m & vs
-            part = new
+        part = _step(part, col, f, gf)
     return part[0]
 
 
@@ -217,14 +229,32 @@ class _DualCounts:
 
     @cached_property
     def masks(self) -> list[int]:
-        """B[h], the bitmask of the lines inside hyperplane h."""
+        """B[h], the bitmask of the lines inside hyperplane h.
+
+        The x rows of the lines are bits 0..|L|-1 of one set of slices and the
+        y rows the bits above, so one orthogonal set r gives B[h] =
+        r & (r >> |L|).  The hyperplanes are walked depth first over their
+        coordinates, in point order, so those sharing a prefix share its
+        partial sums.
+        """
         space, lines = self.ls.space, self.ls.lines
-        xs = _bit_slices((x for x, _ in lines), space.width, space.q)
-        ys = _bit_slices((y for _, y in lines), space.width, space.q)
-        gf = space.gf
-        return [
-            _orthogonal(xs, h, gf) & _orthogonal(ys, h, gf) for h in space.points
-        ]
+        nl, width, gf = len(lines), space.width, space.gf
+        rows = itertools.chain((x for x, _ in lines), (y for _, y in lines))
+        sl = _bit_slices(rows, width, space.q)
+        out = []
+
+        def walk(k, part, lead):
+            if k == width:
+                r = part[0]  # r >> nl has only the low nl bits
+                out.append(r & (r >> nl))
+                return
+            # Points lead with a 1: before it only 0 or 1, and not 0 last.
+            values = range(space.q) if lead else (0, 1) if k < width - 1 else (1,)
+            for f in values:
+                walk(k + 1, _step(part, sl[k], f, gf), lead or f == 1)
+
+        walk(0, [sum(sl[0])] + [0] * (space.q - 1), False)
+        return out
 
     @cached_property
     def line_hyperplanes(self) -> list[int]:
@@ -239,22 +269,13 @@ class _DualCounts:
         """The RREF rows h with this pivot and these free columns and B[h] != 0:
         a tuple, their masks as a parallel tuple, and a bitmask over h."""
         memo = self._choices.get((pivot, free))
-        if memo is not None:
-            return memo
-        space = self.ls.space
-        index, masks = space.point_index, self.masks
-        hyps = []
-        row = [0] * space.width
-        row[pivot] = 1
-        for vals in itertools.product(range(space.q), repeat=len(free)):
-            for j, v in zip(free, vals):
-                row[j] = v
-            h = index[tuple(row)]
-            if masks[h]:
-                hyps.append(h)
-        memo = self._choices[(pivot, free)] = (
-            tuple(hyps), tuple(masks[h] for h in hyps), sum(1 << h for h in hyps)
-        )
+        if memo is None:
+            masks = self.masks
+            rows = self.ls.space.rref_row_indices(pivot, free)
+            hyps = tuple(itertools.compress(rows, map(masks.__getitem__, rows)))
+            memo = self._choices[(pivot, free)] = (
+                hyps, tuple(map(masks.__getitem__, hyps)), sum(1 << h for h in hyps)
+            )
         return memo
 
     def __call__(self, d: int, bad: frozenset):

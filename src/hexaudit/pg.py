@@ -205,6 +205,7 @@ class PG:
             p: i for i, p in enumerate(pts)
         }
         self.key = (n, q)
+        self._rref_rows: dict = {}
 
     def check_ambient(self, other: "PG") -> None:
         if other.key != self.key:
@@ -259,21 +260,38 @@ class PG:
         return tuple(tuple(r) for r in m[:prow])
 
     def nullspace(self, rows) -> tuple[tuple[int, ...], ...]:
-        """Canonical basis of ``{x : rows @ x == 0}`` (w.r.t. the dot form)."""
-        rr = self.rref(rows)
-        pivots = [next(j for j, x in enumerate(r) if x) for r in rr]
-        pivot_set = set(pivots)
-        gf = self.gf
+        """Canonical basis of ``{x : rows @ x == 0}`` (w.r.t. the dot form).
+
+        One reduction, from the right: in the RREF of the column-reversed
+        rows, each row ends in a 1 at a column where the other rows are 0.
+        For every other column j, e_j - sum(row[j] * e_end) is then already
+        the canonical basis row with pivot j.
+        """
+        w = self.width
+        neg = self.gf.neg_table
+        ends = {w - 1 - r.index(1): r[::-1] for r in self.rref([r[::-1] for r in rows])}
         basis = []
-        for free in range(self.width):
-            if free in pivot_set:
-                continue
-            v = [0] * self.width
-            v[free] = 1
-            for row, pc in zip(rr, pivots):
-                v[pc] = gf.neg_table[row[free]]
-            basis.append(v)
-        return self.rref(basis)
+        for j in range(w):
+            if j not in ends:
+                v = [0] * w
+                v[j] = 1
+                for end, row in ends.items():
+                    v[end] = neg[row[j]]
+                basis.append(tuple(v))
+        return tuple(basis)
+
+    def rref_row_indices(self, pivot: int, free: tuple[int, ...]) -> tuple[int, ...]:
+        """Point indices, in point order, of the RREF rows with a 1 at ``pivot``,
+        any values at the columns ``free`` (all after it) and 0 elsewhere.
+        Memoized per space."""
+        key, w = (pivot, free), self.width
+        if key not in self._rref_rows:
+            head = (0,) * pivot + (1,)
+            cols = [range(self.q) if j in free else (0,) for j in range(pivot + 1, w)]
+            self._rref_rows[key] = tuple(
+                self.point_index[head + tail] for tail in itertools.product(*cols)
+            )
+        return self._rref_rows[key]
 
     # -- subspaces --
 

@@ -64,13 +64,10 @@ class SearchSpec:
         for key in ("n", "q", "axioms"):
             if key not in d:
                 raise ValueError(f"missing required key {key!r}")
-        axioms = d["axioms"]
-        if type(axioms) is not list or not all(type(a) is str for a in axioms):
-            raise ValueError(f"axioms must be a list of strings, got {axioms!r}")
         return cls(
             n=d["n"],
             q=d["q"],
-            axioms=AxiomConfig.from_names(axioms),
+            axioms=AxiomConfig.from_names(d["axioms"]),
             mode=d.get("mode", "randomized-greedy"),
             seed=d.get("seed", 0),
             budget=d.get("budget", 1000),

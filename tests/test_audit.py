@@ -13,8 +13,11 @@ from hexaudit.audit import (
     AXIOM_ORDER,
     AxiomConfig,
     _audit,
+    _bit_slices,
     _closure_counts,
     _dict_source,
+    _DualCounts,
+    _orthogonal,
     _violates,
     audit,
     axiom_allowed,
@@ -53,6 +56,16 @@ class TestAxiomConfig:
             AxiomConfig.from_names(["Qt"])
         with pytest.raises(ValueError, match="unknown axiom name"):
             AxiomConfig(frozenset({"pt"}))
+
+    @pytest.mark.parametrize(
+        "names, item",
+        [([1], "1"), (["Pt", None], "None"), ("Pt", "'Pt'")],
+        ids=["int", "none", "bare-string"],
+    )
+    def test_non_string_names_rejected(self, names, item):
+        with pytest.raises(ValueError, match="list of strings") as exc:
+            AxiomConfig.from_names(names)
+        assert item in str(exc.value)
 
     def test_every_alias_resolves(self):
         for alias, name in _ALIASES.items():
@@ -260,9 +273,50 @@ def closure_audit(ls, cfg):
     return _audit(ls, cfg, _dict_source(ls, _closure_counts))
 
 
+def lineset_from_pairs(space_key, pairs):
+    """The lines joining each pair of point indices (mod the point count)."""
+    space = projective_space(*space_key)
+    pts = space.points
+    keys = set()
+    for a, b in pairs:
+        a, b = a % len(pts), b % len(pts)
+        if a != b:
+            keys.add(space.rref((pts[a], pts[b])))
+    if not keys:
+        keys.add(space.rref((pts[0], pts[1])))
+    return LineSet(space, keys, canonical=True)
+
+
+def per_hyperplane_masks(ls):
+    """Referee for ``_DualCounts.masks``: two ``_orthogonal`` passes per
+    hyperplane, over the x rows and over the y rows of the lines."""
+    space, lines = ls.space, ls.lines
+    xs = _bit_slices((x for x, _ in lines), space.width, space.q)
+    ys = _bit_slices((y for _, y in lines), space.width, space.q)
+    return [
+        _orthogonal(xs, h, space.gf) & _orthogonal(ys, h, space.gf)
+        for h in space.points
+    ]
+
+
+RANDOM_PAIRS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=14
+)
+
+
 class TestDualKernel:
     """The dual-hyperplane kernel against the closure and naive referees,
     whole report dicts: histograms, verdicts and witnesses."""
+
+    def test_masks_match_per_hyperplane_referee(self, h2, h3):
+        for ls in (h2, h3):
+            assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]), pairs=RANDOM_PAIRS)
+    def test_random_masks_match_per_hyperplane_referee(self, space_key, pairs):
+        ls = lineset_from_pairs(space_key, pairs)
+        assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
 
     def test_h2_matches_naive(self, h2):
         cfg = AxiomConfig.all()
@@ -315,11 +369,7 @@ class TestDualKernel:
     @settings(max_examples=25, deadline=None)
     @given(
         space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
-        pairs=st.lists(
-            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-            min_size=1,
-            max_size=14,
-        ),
+        pairs=RANDOM_PAIRS,
     )
     def test_random_sets_match_closure_and_naive(self, space_key, pairs):
         self.check_random_set(space_key, pairs)
@@ -330,11 +380,7 @@ class TestDualKernel:
     @settings(max_examples=25, deadline=None)
     @given(
         space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
-        pairs=st.lists(
-            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-            min_size=1,
-            max_size=14,
-        ),
+        pairs=RANDOM_PAIRS,
     )
     def test_random_sets_each_innermost_path_alone(self, ratio, space_key, pairs):
         with pytest.MonkeyPatch.context() as mp:
@@ -343,16 +389,7 @@ class TestDualKernel:
 
     @staticmethod
     def check_random_set(space_key, pairs):
-        space = projective_space(*space_key)
-        pts = space.points
-        keys = set()
-        for a, b in pairs:
-            a, b = a % len(pts), b % len(pts)
-            if a != b:
-                keys.add(space.rref((pts[a], pts[b])))
-        if not keys:
-            keys.add(space.rref((pts[0], pts[1])))
-        ls = LineSet(space, keys, canonical=True)
+        ls = lineset_from_pairs(space_key, pairs)
         cfg = AxiomConfig.all()
         dual = audit(ls, cfg).to_dict()
         assert dual == closure_audit(ls, cfg).to_dict()

@@ -115,7 +115,55 @@ class TestRref:
         assert space.rref(shuffled) == rr
 
 
+def two_rref_nullspace(space, rows):
+    """Referee: RREF the rows, put a basis vector on every free column,
+    then RREF that basis."""
+    rr = space.rref(rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rr]
+    basis = []
+    for free in range(space.width):
+        if free in pivots:
+            continue
+        v = [0] * space.width
+        v[free] = 1
+        for row, pc in zip(rr, pivots):
+            v[pc] = space.gf.neg_table[row[free]]
+        basis.append(v)
+    return space.rref(basis)
+
+
+NULLSPACE_SPACES = [(3, 7), (4, 2), (4, 3), (5, 2), (6, 3), (6, 5)]
+
+
 class TestNullspace:
+    @pytest.mark.parametrize("n, q", NULLSPACE_SPACES)
+    def test_edge_cases_match_referee(self, n, q):
+        space = projective_space(n, q)
+        w = space.width
+        unit = [tuple(int(i == j) for j in range(w)) for i in range(w)]
+        last = tuple(q - 1 for _ in range(w))
+        cases = [
+            [],  # empty input: the whole space
+            [(0,) * w],  # a zero row only
+            [(0,) * w, unit[1], (0,) * w],  # zero rows around a point
+            [last, last, unit[0]],  # a repeated row
+            [unit[0], unit[2], list(map(space.gf.add, unit[0], unit[2]))],  # a sum
+            unit,  # full rank: the empty subspace
+            unit[::-1] + [last],  # full rank, reversed, plus a dependent row
+        ]
+        for rows in cases:
+            assert space.nullspace(rows) == two_rref_nullspace(space, rows), rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(NULLSPACE_SPACES))
+    def test_random_rows_match_referee(self, data, key):
+        space = projective_space(*key)
+        row = st.lists(
+            st.integers(0, space.q - 1), min_size=space.width, max_size=space.width
+        )
+        rows = data.draw(st.lists(row, max_size=space.width + 2))
+        assert space.nullspace(rows) == two_rref_nullspace(space, rows)
+
     def test_double_complement(self):
         rng = random.Random(7)
         space = projective_space(4, 2)
@@ -222,6 +270,30 @@ class TestSpanMeet:
             s1.span(a, b)
         with pytest.raises(ValueError):
             s1.meet(b, a)
+
+
+class TestRrefRowIndices:
+    @pytest.mark.parametrize("n, q", [(2, 3), (4, 2), (3, 4), (4, 5)])
+    def test_equals_filtered_point_table(self, n, q):
+        """Every pivot and free-column set: the points with a 1 at the pivot,
+        0 at every other column that is not free, in point order."""
+        space = projective_space(n, q)
+        w = space.width
+        for pivot in range(w):
+            after = range(pivot + 1, w)
+            for size in range(len(after) + 1):
+                for free in itertools.combinations(after, size):
+                    want = tuple(
+                        i
+                        for i, p in enumerate(space.points)
+                        if p[pivot] == 1
+                        and all(p[j] == 0 for j in range(w) if j not in free + (pivot,))
+                    )
+                    assert space.rref_row_indices(pivot, free) == want
+
+    def test_same_tuple_on_every_call(self):
+        space = projective_space(4, 3)
+        assert space.rref_row_indices(1, (2, 4)) is space.rref_row_indices(1, (2, 4))
 
 
 class TestLines:
