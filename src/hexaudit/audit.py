@@ -22,9 +22,14 @@ process:
   the partial AND, and skips every completion once it holds fewer than
   two lines.  Every line lies in the same number of d-subspaces, so the
   count of U with |L_U| = 1 follows, and every axiom admits count 1.
-* A last row with many hyperplanes for the lines of its prefix is done
-  line by line: marking each H[l] once and twice leaves the completions
-  holding two or more lines.
+* The row above the last completes each of its prefixes in its own loop.
+  A prefix of few lines marks each H[l] once and twice over the last
+  row's hyperplanes; only those marked twice hold two or more lines, and
+  only they are popcounted.  A prefix of many lines adds each H[l] into
+  bit-sliced counters over the row's hyperplanes, and the histogram comes
+  from one mask per count value, so the row costs no Python work per
+  hyperplane; when the row is short for the prefix, the AND and popcount
+  run over it in C instead, as they do when there is one row (d = n-1).
 * The canonical basis of U, the nullspace of the annihilator rows, is
   computed only for subspaces whose count violates an axiom; the
   byte-minimal one is the witness.
@@ -174,9 +179,17 @@ def _violates(rule, c: int) -> bool:
 # (canonical basis of U, |L_U|) for at least every U whose count is in
 # ``bad``.
 
-# Line by line when LINEWISE_RATIO * |prefix lines| < |row hyperplanes|: 8 ran H(3)
-# 9 % faster than 16 end to end, H(4) within 10 %; map only was 1.3x/3.3x slower.
-LINEWISE_RATIO = 8
+# How the last annihilator row is completed for a prefix of p lines and a
+# row of F hyperplanes: p < CROWDED_LINES marks the hyperplanes seen once
+# and twice; otherwise the map runs when LINEWISE_RATIO * p >= F, else the
+# bit-sliced counters.  Per-row costs in process (2-core VM), marking
+# against the counters: 13 against 18 us at p = 21 and 37 against 25 us at
+# p = 25 on H(4) d = 3, 50 against 52 us at p = 31 and 89 against 56 us at
+# p = 36 on H(5) d = 3.  The map against the counters on H(4) d = 4: 109
+# against 126 us at F/p 2-3, 76 against 53 us at 3-4, 419 against 121 us
+# at 8-16.
+CROWDED_LINES = 24
+LINEWISE_RATIO = 3
 
 
 def _bit_slices(vectors, width: int, q: int) -> list[list[int]]:
@@ -212,12 +225,41 @@ def _orthogonal(sl, form, gf) -> int:
     return part[0]
 
 
-def _bits(x: int):
-    """The indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _sliced_counts(acc: int, line_hyps, family: int) -> list[int]:
+    """Bit-sliced counters over the hyperplanes of ``family``: bit h of
+    ``sl[i]`` is bit i of the number of lines of ``acc`` in hyperplane h.
+    Each line adds ``line_hyps[l] & family`` with a ripple carry."""
+    sl: list[int] = []
+    while acc:
+        top = acc.bit_length() - 1
+        carry = line_hyps[top] & family
+        acc ^= 1 << top
+        for i, s in enumerate(sl):
+            sl[i] = s ^ carry
+            carry &= s
+            if not carry:
+                break
+        else:
+            if carry:
+                sl.append(carry)
+    return sl
+
+
+def _value_masks(sl: list[int], family: int):
+    """(c, mask of the hyperplanes of ``family`` whose counters read c) for
+    every count c >= 2 that occurs, split slice by slice from the top."""
+    stack = [(len(sl) - 1, family, 0)] if len(sl) > 1 else []
+    while stack:
+        i, m, c = stack.pop()
+        if i < 0:
+            yield c, m
+        elif i or c:  # with c == 0 at slice 0 only counts 0 and 1 are left
+            hi = m & sl[i]
+            if hi:
+                stack.append((i - 1, hi, c | 1 << i))
+            lo = m ^ hi
+            if lo:
+                stack.append((i - 1, lo, c))
 
 
 class _DualCounts:
@@ -289,54 +331,94 @@ class _DualCounts:
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
         tally: Counter = Counter()
-        update = tally.update
         flagged = []
-        last = k - 1
         masks = self.masks
 
-        def walk(levels, depth, acc, hyps_so_far):
-            hyps, ms, family = levels[depth]
-            if depth == last:
-                if LINEWISE_RATIO * acc.bit_count() < len(hyps):
-                    # twice: the family's hyperplanes with >= 2 lines of acc
+        def mapped(acc, hyps, ms, rows):
+            """Complete the prefix by every row of ``hyps``, AND and popcount
+            in C."""
+            cs = list(map(int.bit_count, map(acc.__and__, ms)))
+            tally.update(filter((1).__lt__, cs))
+            if bad and not bad.isdisjoint(cs):
+                flagged.extend(
+                    (rows + (h,), c) for h, c in zip(hyps, cs) if c in bad
+                )
+
+        if k == 1:
+            # Each hyperplane is its own annihilator.
+            mapped((1 << nlines) - 1, range(len(masks)), masks, ())
+        else:
+            line_hyps = self.line_hyperplanes
+
+            def crowded(acc, hyps, ms, family, rows):
+                """Complete a prefix of many lines against the last row."""
+                if LINEWISE_RATIO * acc.bit_count() >= len(hyps):
+                    return mapped(acc, hyps, ms, rows)
+                sl = _sliced_counts(acc, line_hyps, family)
+                for c, m in _value_masks(sl, family):
+                    tally[c] += m.bit_count()
+                    if c in bad:
+                        while m:
+                            t = m.bit_length() - 1
+                            flagged.append((rows + (t,), c))
+                            m ^= 1 << t
+
+            def walk(levels, depth, acc, rows):
+                hyps, ms, _ = levels[depth]
+                if depth < k - 2:
+                    for h, m in zip(hyps, ms):
+                        a = acc & m
+                        if a & (a - 1):
+                            walk(levels, depth + 1, a, rows + (h,))
+                    return
+                # The row above the last completes each of its prefixes.
+                last = levels[-1]
+                family = last[2]
+                for h, m in zip(hyps, ms):
+                    a = acc & m
+                    if not a & (a - 1):
+                        continue
+                    if a.bit_count() >= CROWDED_LINES:
+                        crowded(a, *last, rows + (h,))
+                        continue
                     seen = twice = 0
-                    line_hyps = self.line_hyperplanes
-                    for li in _bits(acc):
-                        hs = line_hyps[li] & family
+                    x = a
+                    while x:
+                        top = x.bit_length() - 1
+                        hs = line_hyps[top] & family
                         twice |= seen & hs
                         seen |= hs
-                    hyps = tuple(_bits(twice))
-                    cs = [(acc & masks[h]).bit_count() for h in hyps]
-                    update(cs)
-                else:
-                    cs = list(map(int.bit_count, map(acc.__and__, ms)))
-                    update(filter((1).__lt__, cs))  # only counts >= 2
-                if bad and not bad.isdisjoint(cs):
-                    flagged.extend(
-                        (hyps_so_far + (h,), c) for h, c in zip(hyps, cs) if c in bad
-                    )
-                return
-            for h, m in zip(hyps, ms):
-                a = acc & m
-                if a & (a - 1):
-                    walk(levels, depth + 1, a, hyps_so_far + (h,))
+                        x ^= 1 << top
+                    # Only the hyperplanes marked twice hold two or more lines.
+                    while twice:
+                        t = twice.bit_length() - 1
+                        c = (a & masks[t]).bit_count()
+                        tally[c] += 1
+                        if c in bad:
+                            flagged.append((rows + (h, t), c))
+                        twice ^= 1 << t
 
-        for pivots in itertools.combinations(range(width), k):
-            levels = [
-                self._row_choices(
-                    p, tuple(j for j in range(p + 1, width) if j not in pivots)
-                )
-                for p in pivots
-            ]
-            # Rows are independent: put the longest choice list innermost,
-            # where the AND and popcount run in C over the whole list.
-            levels.sort(key=lambda lv: len(lv[0]))
-            walk(levels, 0, (1 << nlines) - 1, ())
+            for pivots in itertools.combinations(range(width), k):
+                levels = [
+                    self._row_choices(
+                        p, tuple(j for j in range(p + 1, width) if j not in pivots)
+                    )
+                    for p in pivots
+                ]
+                # Rows are independent: put the longest choice list last,
+                # the row that is completed for all its choices at once.
+                levels.sort(key=lambda lv: len(lv[0]))
+                walk(levels, 0, (1 << nlines) - 1, ())
         # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
         # (line, U) number nlines times that; the rest have |L_U| = 1.
         ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(
             c * m for c, m in tally.items()
         )
+        if ones < 0:
+            raise InternalConsistencyError(
+                f"d = {d}: the subspaces with two or more lines hold more"
+                f" line incidences than the {nlines} lines have"
+            )
         if ones:
             tally[1] = ones
         points = space.points

@@ -83,7 +83,11 @@ def build(q: int) -> LineSet:
         found |= _lines_through(quad, x)
     lines = sorted(found)
     for rows in lines:
-        if not (quad.line_is_isotropic(rows) and hexagon_line_predicate(quad, rows)):
+        try:
+            ok = hexagon_line_predicate(quad, rows)
+        except ValueError:  # not totally isotropic
+            ok = False
+        if not ok:
             raise InternalConsistencyError(
                 f"H({q}) construction built a non-hexagon line {rows}"
             )

@@ -18,11 +18,14 @@ from hexaudit.audit import (
     _dict_source,
     _DualCounts,
     _orthogonal,
+    _sliced_counts,
+    _value_masks,
     _violates,
     audit,
     axiom_allowed,
     naive_audit,
 )
+from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset, dumps_report, report_document
 from hexaudit.hexagon import build
 from hexaudit.lineset import LineSet
@@ -36,9 +39,17 @@ GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 # the kernel that enumerated every subspace, before counts were derived.
 H4_REPORT_SHA256 = "f5cf06486c4557f26a4ba6fc924ca7c1d03c2a963bb849a3d2fdcdc45e3e8c82"
 
-# LINEWISE_RATIO values that send every innermost row of the kernel down
-# one path: 0 always line by line, 10**9 always through the map.
-ONE_PATH = pytest.mark.parametrize("ratio", [0, 10**9], ids=["line-wise", "map"])
+# Module constants that send every last row of the kernel down one path:
+# marking seen and twice ("line-wise"), the map, or the sliced counters.
+ONE_PATH = pytest.mark.parametrize(
+    "constants",
+    [
+        {"CROWDED_LINES": 10**9},
+        {"CROWDED_LINES": 0, "LINEWISE_RATIO": 10**9},
+        {"CROWDED_LINES": 0, "LINEWISE_RATIO": 0},
+    ],
+    ids=["line-wise", "map", "sliced"],
+)
 
 
 def unit(space, i):
@@ -342,8 +353,9 @@ class TestDualKernel:
         assert rep.passed != extra_line
 
     @ONE_PATH
-    def test_h2_each_innermost_path_alone(self, h2, ratio, monkeypatch):
-        monkeypatch.setattr(audit_module, "LINEWISE_RATIO", ratio)
+    def test_h2_each_innermost_path_alone(self, h2, constants, monkeypatch):
+        for name, value in constants.items():
+            monkeypatch.setattr(audit_module, name, value)
         rep = audit(h2, AxiomConfig.all())
         assert rep.passed
         assert rep.histograms == H2_HISTOGRAMS
@@ -374,18 +386,50 @@ class TestDualKernel:
     def test_random_sets_match_closure_and_naive(self, space_key, pairs):
         self.check_random_set(space_key, pairs)
 
-    # Criterion 6 audits only PG(4,2), where no innermost row is long
-    # enough to go line by line, so each path is also run here alone.
+    # These sets and criterion 6's have at most 14 lines, fewer than
+    # CROWDED_LINES: apart from d = n-1, which always takes the map, every
+    # last row of theirs is marked unless the constants force another
+    # path, as here.
     @ONE_PATH
     @settings(max_examples=25, deadline=None)
     @given(
         space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]),
         pairs=RANDOM_PAIRS,
     )
-    def test_random_sets_each_innermost_path_alone(self, ratio, space_key, pairs):
+    def test_random_sets_each_innermost_path_alone(self, constants, space_key, pairs):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(audit_module, "LINEWISE_RATIO", ratio)
+            for name, value in constants.items():
+                mp.setattr(audit_module, name, value)
             self.check_random_set(space_key, pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        line_hyps=st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=40),
+        acc=st.integers(0, 2**40 - 1),
+        family=st.integers(0, 2**40 - 1),
+    )
+    def test_sliced_counters_match_popcounts(self, line_hyps, acc, family):
+        """Counter h reads |acc & B[h]| on the family and 0 off it, and
+        ``_value_masks`` groups the family by every count >= 2."""
+        acc &= (1 << len(line_hyps)) - 1
+        masks = [
+            sum(1 << li for li, hs in enumerate(line_hyps) if hs >> h & 1)
+            for h in range(40)
+        ]
+        sl = _sliced_counts(acc, line_hyps, family)
+        want = {}
+        for h in range(40):
+            c = (acc & masks[h]).bit_count() if family >> h & 1 else 0
+            assert sum((s >> h & 1) << i for i, s in enumerate(sl)) == c
+            if c > 1:
+                want[c] = want.get(c, 0) | 1 << h
+        assert dict(_value_masks(sl, family)) == want
+
+    def test_overcounting_kernel_raises(self, h2, monkeypatch):
+        """A negative count-1 entry is an internal error, not a histogram."""
+        monkeypatch.setattr(audit_module, "gaussian_binomial", lambda n, k, q: 0)
+        with pytest.raises(InternalConsistencyError, match="d = 2"):
+            audit(h2, AxiomConfig.from_names(["Pl"]))
 
     @staticmethod
     def check_random_set(space_key, pairs):

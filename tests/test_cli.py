@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import hexaudit.audit as audit_module
 from hexaudit import cli
 from hexaudit.cli import main
 from hexaudit.formats import load_lineset
@@ -136,6 +137,14 @@ class TestAudit:
         code = main(["audit", "--in", str(bad), "--axioms", "Pt", "--out", "-"])
         assert code == 1
         assert "Pt: FAIL" in capsys.readouterr().out
+
+    def test_audit_internal_error_exits_1(self, h2_file, capsys, monkeypatch):
+        """A kernel that overcounts makes the count-1 entry negative."""
+        monkeypatch.setattr(audit_module, "gaussian_binomial", lambda n, k, q: 0)
+        argv = ["audit", "--in", str(h2_file), "--axioms", "Pl", "--out", "-"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency error: ") and err.count("\n") == 1
 
     def test_audit_missing_file(self, capsys):
         assert main(["audit", "--in", "/nonexistent.pgls"]) == 2

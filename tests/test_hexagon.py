@@ -78,6 +78,17 @@ class TestPlaneConstruction:
         with pytest.raises(InternalConsistencyError):
             build(2)
 
+    def test_non_isotropic_line_build_raises(self, monkeypatch):
+        """The predicate's ValueError surfaces as an internal error."""
+        space = parabolic_quadric(2).space
+        stray = space.rref(((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0)))
+        pencil = hexagon_module._lines_through
+        monkeypatch.setattr(
+            hexagon_module, "_lines_through", lambda quad, x: pencil(quad, x) | {stray}
+        )
+        with pytest.raises(InternalConsistencyError, match="non-hexagon line"):
+            build(2)
+
     def test_h5(self):
         """H(5): counts, and the PGLS bytes recorded from the isotropic-line
         filter that built H(q) before the plane construction."""
