@@ -322,7 +322,6 @@ class _DualCounts:
 
     def __call__(self, d: int, bad: frozenset):
         space = self.ls.space
-        width = space.width
         k = space.n - d
         nlines = len(self.ls.lines)
         if k == 0:
@@ -398,13 +397,8 @@ class _DualCounts:
                             flagged.append((rows + (h, t), c))
                         twice ^= 1 << t
 
-            for pivots in itertools.combinations(range(width), k):
-                levels = [
-                    self._row_choices(
-                        p, tuple(j for j in range(p + 1, width) if j not in pivots)
-                    )
-                    for p in pivots
-                ]
+            for shape in space.rref_shapes(k):
+                levels = [self._row_choices(p, free) for p, free in shape]
                 # Rows are independent: put the longest choice list last,
                 # the row that is completed for all its choices at once.
                 levels.sort(key=lambda lv: len(lv[0]))
@@ -428,47 +422,32 @@ class _DualCounts:
         return dict(tally), bases
 
 
-def _closure_counts(ls: LineSet, d: int) -> dict[bytes, int]:
-    """Map (flattened canonical basis) -> |L_U| over d-subspaces meeting L,
-    by hashing every d-subspace through every line (the closure referee)."""
-    if d == ls.n:
-        # The whole space: every line is inside it.
-        rows = ls.space.whole_space().rows
-        return {bytes(x for row in rows for x in row): len(ls.lines)}
-    counts: dict[bytes, int] = {}
-    get = counts.get
+def _closure_counts(ls: LineSet, d: int) -> Counter:
+    """Map canonical basis -> |L_U| over d-subspaces meeting L, by hashing
+    every d-subspace through every line (the closure referee)."""
+    counts: Counter = Counter()
     for key in ls.lines:
-        for rows in ls.space.subspaces_through_rows(key, d):
-            b = bytes(x for row in rows for x in row)
-            counts[b] = get(b, 0) + 1
+        counts.update(ls.space.subspaces_through_rows(key, d))
     return counts
 
 
-def _naive_counts(ls: LineSet, d: int) -> dict[bytes, int]:
+def _naive_counts(ls: LineSet, d: int) -> dict:
     """The same map by testing every d-subspace of the space."""
-    counts: dict[bytes, int] = {}
+    counts = {}
     for sub in ls.space.enumerate_subspaces(d):
         c = len(ls.lines_in(sub))
         if c:
-            counts[bytes(x for row in sub.rows for x in row)] = c
+            counts[sub.rows] = c
     return counts
 
 
 def _dict_source(ls: LineSet, counts_of):
     """A count source over a full ``counts_of(ls, d)`` map per dimension."""
-    width = ls.space.width
 
     def source(d: int, bad: frozenset):
         counts = counts_of(ls, d)
-        hist: dict[int, int] = {}
-        for c in counts.values():
-            hist[c] = hist.get(c, 0) + 1
-        flagged = [
-            (tuple(tuple(b[i : i + width]) for i in range(0, len(b), width)), c)
-            for b, c in counts.items()
-            if c in bad
-        ]
-        return hist, flagged
+        flagged = [(rows, c) for rows, c in counts.items() if c in bad]
+        return dict(Counter(counts.values())), flagged
 
     return source
 

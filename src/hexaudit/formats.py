@@ -37,21 +37,19 @@ def load_lineset(text: str) -> LineSet:
     if not lines or lines[0] != PGLS_MAGIC:
         raise ValueError(f"not a PGLS file (missing {PGLS_MAGIC!r} header)")
     idx = 1
-    n = q = None
-    modulus = None
-    while idx < len(lines) and not ("," in lines[idx]):
+    header = {}
+    while idx < len(lines) and "," not in lines[idx]:
         key, _, rest = lines[idx].partition(" ")
-        if key == "n":
-            n = int(rest)
-        elif key == "q":
-            q = int(rest)
-        elif key == "modulus":
-            modulus = tuple(int(c) for c in rest.split())
-        else:
+        if key not in ("n", "q", "modulus"):
             raise ValueError(f"unknown header field {key!r}")
+        if key in header:
+            raise ValueError(f"repeated header field {key!r}")
+        header[key] = rest
         idx += 1
-    if n is None or q is None:
+    if "n" not in header or "q" not in header:
         raise ValueError("PGLS header must declare n and q")
+    n, q = int(header["n"]), int(header["q"])
+    modulus = tuple(map(int, header["modulus"].split())) if "modulus" in header else None
     gf = field(q)
     if gf.e > 1:
         if modulus != gf.modulus:

@@ -38,45 +38,6 @@ def gaussian_binomial(n_dim: int, k: int, q: int) -> int:
     return num // den
 
 
-def rref_matrices(vdim: int, k: int, q: int):
-    """Yield every full-rank k x vdim RREF matrix over GF(q), as row tuples.
-
-    One matrix per k-dimensional subspace of GF(q)^vdim.  Generation
-    order is by pivot set; callers needing lexicographic order sort the
-    materialized list.
-    """
-    for pivots in itertools.combinations(range(vdim), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, vdim)
-            if j not in pivot_set
-        ]
-        base = [[0] * vdim for _ in range(k)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        if not free:
-            yield tuple(tuple(r) for r in base)
-            continue
-        for vals in itertools.product(range(q), repeat=len(free)):
-            m = [row[:] for row in base]
-            for (i, j), v in zip(free, vals):
-                m[i][j] = v
-            yield tuple(tuple(r) for r in m)
-
-
-@lru_cache(maxsize=64)
-def _quotient_matrices(vdim: int, k: int, q: int):
-    """Sorted RREF matrices of GF(q)^vdim with their pivot row indices."""
-    mats = sorted(rref_matrices(vdim, k, q))
-    out = []
-    for rows in mats:
-        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
-        out.append((rows, pivots))
-    return tuple(out)
-
-
 class Subspace:
     """A projective subspace, canonically represented by its RREF basis."""
 
@@ -110,21 +71,26 @@ class Subspace:
         return all(self.contains_vec(r) for r in other.rows)
 
     def points(self):
-        """Yield the projective points of the subspace, each exactly once."""
+        """Yield the projective points of the subspace, each exactly once.
+
+        They are the combinations of the rows by the points of PG(k-1, q).
+        A point's first nonzero coefficient is a 1, on a row whose pivot
+        column is 0 in every later row, so each combination leads with that
+        1 and is already normalized.
+        """
+        if not self.rows:
+            return
         gf = self.space.gf
-        q, width = gf.q, self.space.width
         add, mul = gf.add_table, gf.mul_table
-        k = len(self.rows)
-        for lead in range(k):
-            for tail in itertools.product(range(q), repeat=k - lead - 1):
-                v = list(self.rows[lead])
-                for row, c in zip(self.rows[lead + 1:], tail):
-                    if c:
-                        mt = mul[c]
-                        for j in range(width):
-                            if row[j]:
-                                v[j] = add[v[j]][mt[row[j]]]
-                yield self.space.normalize(v)
+        for coeffs in projective_space(len(self.rows) - 1, gf.q).points:
+            v = [0] * self.space.width
+            for c, row in zip(coeffs, self.rows):
+                if c:
+                    mt = mul[c]
+                    for j, x in enumerate(row):
+                        if x:
+                            v[j] = add[v[j]][mt[x]]
+            yield tuple(v)
 
     def __eq__(self, other):
         return (
@@ -184,15 +150,23 @@ class PluckerCoords:
         return tuple(self.raw[key] for key in sorted(self.raw))
 
 
+# Bounds the point table before it is built: that of PG(6, 8), 299 593
+# points, adds 50 MB of peak RSS and takes 0.2 s (2-core VM, Python
+# 3.11.7), and the table grows linearly in the point count.
+MAX_POINTS = 1 << 20
+
+
 class PG:
     """PG(n, q) with interned point table and subspace machinery."""
 
     def __init__(self, n: int, q: int):
-        if not 0 < n <= 10:
+        if not 0 <= n <= 10:
             raise ValueError(f"ambient dimension {n} not supported")
         self.n = n
         self.q = q
         self.gf: GF = field(q)
+        if gaussian_binomial(n + 1, 1, q) > MAX_POINTS:
+            raise ValueError(f"PG({n}, {q}) has more than {MAX_POINTS} points")
         self.width = n + 1
         pts = []
         for lead in range(self.width):
@@ -280,6 +254,30 @@ class PG:
                 basis.append(tuple(v))
         return tuple(basis)
 
+    def rref_shapes(self, k: int):
+        """Yield the shape of every k-row RREF matrix: per pivot set, in
+        ``itertools.combinations`` order, its rows as (pivot, free columns)
+        pairs, the free columns being those after the pivot that hold no
+        other pivot."""
+        for pivots in itertools.combinations(range(self.width), k):
+            yield tuple(
+                (p, tuple(j for j in range(p + 1, self.width) if j not in pivots))
+                for p in pivots
+            )
+
+    @lru_cache(maxsize=64)
+    def rref_bases(self, k: int) -> tuple:
+        """Sorted canonical bases of all (k-1)-dimensional subspaces, each row
+        a tuple of the point table; cached."""
+        pts = self.points
+        return tuple(sorted(
+            tuple(map(pts.__getitem__, rows))
+            for shape in self.rref_shapes(k)
+            for rows in itertools.product(
+                *(self.rref_row_indices(p, free) for p, free in shape)
+            )
+        ))
+
     def rref_row_indices(self, pivot: int, free: tuple[int, ...]) -> tuple[int, ...]:
         """Point indices, in point order, of the RREF rows with a 1 at ``pivot``,
         any values at the columns ``free`` (all after it) and 0 elsewhere.
@@ -362,17 +360,17 @@ class PG:
         """All d-dimensional subspaces, canonical, in lexicographic order."""
         if not 0 <= d <= self.n:
             raise ValueError(f"dimension {d} out of range for PG({self.n}, {self.q})")
-        mats = sorted(rref_matrices(self.width, d + 1, self.q))
-        for rows in mats:
+        for rows in self.rref_bases(d + 1):
             yield Subspace(self, rows, canonical=True)
 
     def subspaces_through_rows(self, frows, d: int):
         """Canonical bases of all d-subspaces containing the RREF basis ``frows``.
 
-        Unsorted; the public wrapper sorts.  The lift exploits that the
-        quotient rows are supported on the complement columns, so only
-        the pivot columns of the lifted rows need clearing from the
-        fixed rows -- no full Gaussian elimination.
+        Unsorted; the public wrapper sorts.  Each is ``frows`` plus the rows
+        of a subspace of the quotient space, on the columns that are not
+        pivots of ``frows``, lifted; only the pivot columns of the lifted
+        rows need clearing from the fixed rows -- no full Gaussian
+        elimination.
         """
         k = len(frows)
         r = d + 1 - k
@@ -381,22 +379,18 @@ class PG:
         if d > self.n:
             raise ValueError(f"dimension {d} out of range for PG({self.n}, {self.q})")
         width = self.width
-        fpivots = [next(j for j, x in enumerate(row) if x) for row in frows]
-        pivot_set = set(fpivots)
-        comp = [j for j in range(width) if j not in pivot_set]
-        gf = self.gf
-        mul, sub = gf.mul_table, gf.sub_table
+        fpivots = [row.index(1) for row in frows]
+        comp = [j for j in range(width) if j not in fpivots]
+        mul, sub = self.gf.mul_table, self.gf.sub_table
         out = []
-        for qrows, qpivs in _quotient_matrices(width - k, r, self.q):
-            lifted = []
+        for qrows in projective_space(width - k - 1, self.q).rref_bases(r):
+            fr = [list(row) for row in frows]
+            tagged = list(zip(fpivots, fr))
             for u in qrows:
                 w = [0] * width
                 for j, c in enumerate(comp):
                     w[c] = u[j]
-                lifted.append(w)
-            fr = [list(row) for row in frows]
-            for w, qp in zip(lifted, qpivs):
-                pc = comp[qp]
+                pc = comp[u.index(1)]
                 for row in fr:
                     c = row[pc]
                     if c:
@@ -404,8 +398,7 @@ class PG:
                         for j in comp:
                             if w[j]:
                                 row[j] = sub[row[j]][mt[w[j]]]
-            tagged = [(pv, row) for pv, row in zip(fpivots, fr)]
-            tagged += [(comp[qp], w) for qp, w in zip(qpivs, lifted)]
+                tagged.append((pc, w))
             tagged.sort(key=lambda t: t[0])
             out.append(tuple(tuple(row) for _, row in tagged))
         return out

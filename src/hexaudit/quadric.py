@@ -121,54 +121,17 @@ class ParabolicQuadric:
     def section_points(self, u: Subspace) -> list[tuple[int, ...]]:
         return [p for p in u.points() if self.form(p) == 0]
 
-    def section_isotropic_lines(self, u: Subspace) -> list:
-        """Totally isotropic lines contained in the subspace ``u``."""
-        pts = self.section_points(u)
-        seen = set()
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                rows = self.space.rref((pts[i], pts[j]))
-                if rows not in seen and self.line_is_isotropic(rows):
-                    seen.add(rows)
-        return sorted(seen)
-
     def singular_radical(self, u: Subspace) -> Subspace:
         """Vertex of the section cone: singular points of Q restricted to u.
 
-        Computed as the span of the bilinear-radical points on which Q
-        vanishes.
+        The bilinear radical is U ∩ U^⊥, the nullspace of the annihilator
+        rows of U together with the polar rows of its basis; the vertex is
+        the span of its points on which Q vanishes.
         """
         space = self.space
-        basis = u.rows
-        k = len(basis)
-        gf = self.gf
-        # Gram matrix of the bilinearized form on the section basis.
-        gram = [
-            [self.bilinear(basis[i], basis[j]) for j in range(k)] for i in range(k)
-        ]
-        # Kernel in coefficient space (k coordinates), then lift to ambient.
-        coeff_space = projective_space(k - 1, gf.q) if k >= 2 else None
-        if coeff_space is None:
-            kernel = ((1,),) if all(g == 0 for g in gram[0]) else ()
-        else:
-            kernel = coeff_space.nullspace(gram)
-        if not kernel:
-            return space.empty_subspace()
-        add, mul = gf.add_table, gf.mul_table
-        singular = []
-        ker_sub = Subspace(coeff_space, kernel, canonical=True) if coeff_space else None
-        coeffs = ker_sub.points() if ker_sub else [(1,)]
-        for c in coeffs:
-            v = [0] * space.width
-            for ci, row in zip(c, basis):
-                if ci:
-                    mt = mul[ci]
-                    for j in range(space.width):
-                        if row[j]:
-                            v[j] = add[v[j]][mt[row[j]]]
-            if self.form(v) == 0:
-                singular.append(v)
-        return Subspace(space, singular)
+        rad = space.nullspace(space.nullspace(u.rows) + tuple(map(self.polar, u.rows)))
+        singular = Subspace(space, rad, canonical=True).points()
+        return Subspace(space, [p for p in singular if self.form(p) == 0])
 
     def classify_section(self, u: Subspace) -> tuple[SectionType, int]:
         """Classify a 4-space section; returns (type, quadric point count)."""

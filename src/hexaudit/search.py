@@ -41,6 +41,8 @@ class SearchSpec:
     target: str = "pentagon"
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2 for pencil moves, got {self.n}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.target not in TARGETS:

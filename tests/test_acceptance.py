@@ -89,8 +89,7 @@ def test_criterion_3_four_case_lemma(h2):
     for sub in quad.space.enumerate_subspaces(4):
         kind, _ = quad.classify_section(sub)
         hist[kind.value] = hist.get(kind.value, 0) + 1
-        key = bytes(x for row in sub.rows for x in row)
-        if counts.get(key, 0) > bounds[kind]:
+        if counts.get(sub.rows, 0) > bounds[kind]:
             ok = False
     ok = ok and hist == CLASSIFY4_Q2
     verdict(3, "four-case 4-space lemma", ok)

@@ -153,6 +153,22 @@ class TestAudit:
         assert main(["audit", "--in", str(h2_file), "--axioms", "Foo"]) == 2
         assert_one_error_line(capsys.readouterr().err, "unknown axiom name")
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("PGLS 1\nn 3\nn 4\nq 2\n1 0 0 0 0, 0 1 0 0 0\n", "repeated header field 'n'"),
+            (
+                "PGLS 1\nn 10\nq 13\n1 0 0 0 0 0 0 0 0 0 0, 0 1 0 0 0 0 0 0 0 0 0\n",
+                "PG(10, 13) has more than 1048576 points",
+            ),
+        ],
+    )
+    def test_audit_unusable_file_is_usage_error(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.pgls"
+        bad.write_text(text)
+        assert main(["audit", "--in", str(bad)]) == 2
+        assert_one_error_line(capsys.readouterr().err, reason)
+
     def test_audit_empty_file_is_usage_error(self, empty_file, capsys):
         assert main(["audit", "--in", str(empty_file)]) == 2
         assert_one_error_line(capsys.readouterr().err, "empty")
@@ -268,6 +284,15 @@ class TestSearch:
             == (p2.parent / "two.log").read_bytes()
         )
 
+    def test_plane_search_ends_none(self, tmp_path, capsys):
+        """In PG(2, q) there are no solids to count; the walk still runs."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 2, "q": 2, "axioms": ["Pt", "Pl"], "budget": 20}))
+        prefix = tmp_path / "plane"
+        assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "none"
+        assert (tmp_path / "plane.log").read_text().endswith("outcome: none\n")
+
     def test_unwritable_out_prefix_is_usage_error(self, tmp_path, capsys, monkeypatch):
         must_not_compute(monkeypatch, "run_search")
         spec = tmp_path / "spec.json"
@@ -299,6 +324,9 @@ class TestSearch:
             ({"n": 4, "q": 2, "axioms": [1]}, "axioms must be a list of strings"),
             ({"n": 4, "q": 2, "axioms": "Pt"}, "axioms must be a list of strings"),
             ({"q": 2, "axioms": ["Pt"]}, "missing required key 'n'"),
+            ({"n": 0, "q": 2, "axioms": ["Pt"], "budget": 5}, "n must be at least 2"),
+            ({"n": 1, "q": 2, "axioms": ["Pt"], "budget": 5}, "n must be at least 2"),
+            ({"n": 10, "q": 16, "axioms": ["Pt"], "budget": 5}, "more than 1048576 points"),
         ],
     )
     def test_unusable_spec_is_usage_error(self, tmp_path, capsys, doc, reason):

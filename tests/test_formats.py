@@ -48,6 +48,10 @@ class TestLoadErrors:
         with pytest.raises(ValueError):
             load_lineset("PGLS 1\nn 3\nq 2\nfoo bar\n1 0 0 0, 0 1 0 0\n")
 
+    def test_repeated_header_field(self):
+        with pytest.raises(ValueError, match="repeated header field 'n'"):
+            load_lineset("PGLS 1\nn 3\nn 4\nq 2\n1 0 0 0 0, 0 1 0 0 0\n")
+
     def test_wrong_modulus(self):
         with pytest.raises(ValueError):
             load_lineset("PGLS 1\nn 2\nq 4\nmodulus 1 0 1\n1 0 0, 0 1 0\n")

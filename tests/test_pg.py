@@ -9,7 +9,6 @@ from hexaudit.pg import (
     Subspace,
     gaussian_binomial,
     projective_space,
-    rref_matrices,
 )
 
 
@@ -192,6 +191,20 @@ class TestNullspace:
         assert len(space.nullspace(rows)) == 5 - len(rows)
 
 
+class TestAmbient:
+    def test_point_bound(self):
+        with pytest.raises(ValueError, match="more than 1048576 points"):
+            projective_space(10, 13)
+        with pytest.raises(ValueError, match="more than 1048576 points"):
+            projective_space(6, 13)
+
+    def test_dimension_bounds(self):
+        assert projective_space(0, 3).points == [(1,)]
+        for n in (-1, 11):
+            with pytest.raises(ValueError, match="ambient dimension"):
+                projective_space(n, 2)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
     def test_counts_match_gaussian_binomial(self, n, q):
@@ -215,9 +228,30 @@ class TestEnumeration:
             list(space.enumerate_subspaces(-1))
 
     def test_rref_matrices_full_rank(self):
-        mats = list(rref_matrices(4, 2, 2))
+        mats = list(projective_space(3, 2).rref_bases(2))
         assert len(mats) == gaussian_binomial(4, 2, 2) == 35
         assert len(set(mats)) == len(mats)
+
+    @pytest.mark.parametrize("n, q", [(0, 2), (3, 2), (3, 3), (4, 2)])
+    def test_rref_bases_equal_rref_of_point_subsets(self, n, q):
+        """Every k: the sorted distinct RREFs of the k-sets of points of rank k."""
+        space = projective_space(n, q)
+        for k in range(space.width + 1):
+            want = {
+                rows
+                for pts in itertools.combinations(space.points, k)
+                if len(rows := space.rref(pts)) == k
+            }
+            assert list(space.rref_bases(k)) == sorted(want)
+
+    def test_rref_shapes(self):
+        space = projective_space(3, 2)
+        assert list(space.rref_shapes(2))[:2] == [
+            ((0, (2, 3)), (1, (2, 3))),
+            ((0, (1, 3)), (2, (3,))),
+        ]
+        assert len(list(space.rref_shapes(2))) == 6
+        assert list(space.rref_shapes(0)) == [()]
 
 
 def random_subspace(space, rng, max_rows):
@@ -425,6 +459,15 @@ class TestSubspaceObject:
         assert len(set(pts)) == len(pts)
         for p in pts:
             assert sub.contains_vec(p)
+
+    def test_points_of_empty_point_and_plane(self):
+        space = projective_space(3, 3)
+        assert list(space.empty_subspace().points()) == []
+        assert list(space.point_subspace((0, 2, 1, 0)).points()) == [(0, 1, 2, 0)]
+        plane = space.subspace([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1)])
+        want = [p for p in space.points if plane.contains_vec(p)]
+        assert sorted(plane.points()) == want
+        assert len(want) == 13
 
     def test_eq_hash_order(self):
         space = projective_space(3, 2)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from hexaudit.pg import projective_space
+from hexaudit.pg import Subspace, projective_space
 from hexaudit.quadric import SectionType, parabolic_quadric
 
 # Frozen classification of all 2667 4-spaces of PG(6, 2), first derived
@@ -161,7 +162,10 @@ class TestClassifySection:
         for sub in quad.space.enumerate_subspaces(4):
             kind, _ = quad.classify_section(sub)
             if kind is SectionType.CONE_OVER_ELLIPTIC:
-                iso = quad.section_isotropic_lines(sub)
+                iso = [
+                    rows for rows in quad.isotropic_lines()
+                    if sub.contains(quad.space.subspace(rows))
+                ]
                 assert len(iso) == 2**2 + 1
                 vertex = quad.singular_radical(sub)
                 assert vertex.projdim == 0
@@ -204,3 +208,99 @@ class TestRadical:
             assert quad.form(p) == 0
             for row in sub.rows:
                 assert quad.bilinear(p, row) == 0
+
+
+def combine(gf, coeffs, rows):
+    """The sum of c * row over the coefficients and rows, over GF(q)."""
+    add, mul = gf.add_table, gf.mul_table
+    v = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            v = [add[a][mul[c][b]] for a, b in zip(v, row)]
+    return v
+
+
+def brute_points(space, u):
+    """The points of u from every nonzero combination of its rows."""
+    return {
+        space.normalize(v)
+        for coeffs in itertools.product(range(space.q), repeat=len(u.rows))
+        if any(v := combine(space.gf, coeffs, u.rows))
+    }
+
+
+def brute_radical(quad, u):
+    """The span of the points p of u with Q(p) = 0 and b(p, r) = 0 for every row r."""
+    return quad.space.subspace([
+        p for p in brute_points(quad.space, u)
+        if quad.form(p) == 0 and all(quad.bilinear(p, r) == 0 for r in u.rows)
+    ])
+
+
+def random_subspace(space, rng, k, through=(), inside=None):
+    """A random subspace of k rows through the given rows, inside the span
+    of the rows ``inside`` (default: the whole space)."""
+    inside = inside or space.whole_space().rows
+    while True:
+        rows = list(through) + [
+            combine(space.gf, [rng.randrange(space.q) for _ in inside], inside)
+            for _ in range(k - len(through))
+        ]
+        u = Subspace(space, rows)
+        if len(u.rows) == k:
+            return u
+
+
+class TestRadicalReferee:
+    """singular_radical and classify_section against brute force."""
+
+    @staticmethod
+    def four_spaces(quad, rng, count):
+        """In turn: random 4-spaces, 4-spaces through a quadric point x inside
+        x^perp, and the perps of lines xy with y a quadric point of x^perp."""
+        space, pts = quad.space, quad.points()
+        for i in range(count):
+            x = pts[rng.randrange(len(pts))]
+            perp = space.nullspace([quad.polar(x)])
+            if i % 3 == 0:
+                yield random_subspace(space, rng, 5)
+            elif i % 3 == 1:
+                yield random_subspace(space, rng, 5, through=[x], inside=perp)
+            else:
+                line = random_subspace(space, rng, 2, through=[x], inside=perp)
+                while quad.form(line.rows[0]) or quad.form(line.rows[1]):
+                    line = random_subspace(space, rng, 2, through=[x], inside=perp)
+                yield Subspace(space, space.nullspace(list(map(quad.polar, line.rows))))
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_four_spaces(self, q):
+        quad = parabolic_quadric(q)
+        rng = random.Random(4000 + q)
+        kinds = set()
+        for u in self.four_spaces(quad, rng, 210):
+            rad = brute_radical(quad, u)
+            npoints = sum(1 for p in brute_points(quad.space, u) if quad.form(p) == 0)
+            kind = {
+                -1: SectionType.PARABOLIC_Q4,
+                1: SectionType.LINE_CONE_OVER_CONIC,
+            }.get(rad.projdim)
+            if rad.projdim == 0:
+                kind = (
+                    SectionType.CONE_OVER_ELLIPTIC
+                    if npoints == q**3 + q + 1
+                    else SectionType.CONE_OVER_HYPERBOLIC
+                )
+            assert quad.singular_radical(u) == rad
+            assert quad.classify_section(u) == (kind, npoints)
+            kinds.add(kind)
+        assert kinds == set(SectionType)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_random_subspaces(self, q):
+        quad = parabolic_quadric(q)
+        rng = random.Random(5000 + q)
+        for i in range(120):
+            u = random_subspace(quad.space, rng, 1 + i % 6)
+            assert quad.singular_radical(u) == brute_radical(quad, u)
+        empty = quad.space.empty_subspace()
+        assert quad.singular_radical(empty) == empty
