@@ -125,6 +125,27 @@ def axiom_allowed(axiom: str, q: int):
 _AXIOM_DIM = {"Pl": 2, "Sd": 3, "Sd'": 3, "4d": 4, "Hp": 5, "Hp'": 5}
 
 
+def _violates(rule, c: int) -> bool:
+    return c not in rule if isinstance(rule, set) else c > rule
+
+
+def count_rules(cfg: AxiomConfig, q: int) -> dict:
+    """The enabled per-subspace count rules by dimension, {d: {axiom: rule}},
+    in increasing d and in ``AXIOM_ORDER``."""
+    rules: dict = {}
+    for a in cfg.enabled():
+        if a in _AXIOM_DIM:
+            rules.setdefault(_AXIOM_DIM[a], {})[a] = axiom_allowed(a, q)
+    return dict(sorted(rules.items()))
+
+
+def rejected(rules: dict, top: int) -> frozenset:
+    """The counts 1..top that some rule of ``rules`` rejects."""
+    return frozenset(
+        c for c in range(1, top + 1) if any(_violates(r, c) for r in rules.values())
+    )
+
+
 @dataclass
 class AuditReport:
     n: int
@@ -167,10 +188,6 @@ class AuditReport:
                 for d, hist in sorted(self.histograms.items())
             },
         }
-
-
-def _violates(rule, c: int) -> bool:
-    return c not in rule if isinstance(rule, set) else c > rule
 
 
 # -- count sources --
@@ -470,8 +487,7 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         span_dim=ls.span_dim(),
         axioms=cfg.enabled(),
     )
-    enabled = set(cfg.enabled())
-    if "Pt" in enabled:
+    if "Pt" in cfg.names:
         hist: dict[int, int] = {}
         for line_ids in ls.point_lines.values():
             hist[len(line_ids)] = hist.get(len(line_ids), 0) + 1
@@ -483,33 +499,24 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         report.witnesses["Pt"] = (
             None if not bad_pts else (ls.space.points[bad_pts[0]],)
         )
-    dims = sorted({_AXIOM_DIM[a] for a in enabled if a in _AXIOM_DIM})
-    for d in dims:
-        rules = {
-            a: axiom_allowed(a, q) for a in report.axioms if _AXIOM_DIM.get(a) == d
-        }
+    for d, rules in count_rules(cfg, q).items():
         if d > ls.n:
             # No such subspaces in this ambient space: vacuously satisfied.
             for a in rules:
                 report.verdicts[a] = True
                 report.witnesses[a] = None
             continue
-        bad = frozenset(
-            c
-            for c in range(1, len(ls.lines) + 1)
-            if any(_violates(rule, c) for rule in rules.values())
-        )
-        hist, flagged = source(d, bad)
+        hist, flagged = source(d, rejected(rules, len(ls.lines)))
         report.histograms[d] = hist
         for a, rule in rules.items():
             hits = [rows for rows, c in flagged if _violates(rule, c)]
             report.verdicts[a] = not hits
             report.witnesses[a] = min(hits) if hits else None
-    if "To" in enabled:
+    if "To" in cfg.names:
         bound = q**5 + q**4 + q**3 + q**2 + q + 1
         report.verdicts["To"] = len(ls.lines) <= bound
         report.witnesses["To"] = None
-    if "6d" in enabled:
+    if "6d" in cfg.names:
         report.verdicts["6d"] = q > 3 or report.span_dim >= 6
         report.witnesses["6d"] = None
     return report

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .audit import AxiomConfig, audit
+from .audit import AxiomConfig, audit, axiom_allowed
 from .lineset import LineSet
 from .pg import Subspace
 
@@ -157,8 +157,8 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
     """Span and line-count report for a pentagon's 4-space.
 
     For any pentagon of a set satisfying the point/plane/solid axioms the
-    span must be 4-dimensional with at least 5q lines inside (and in fact
-    at least q^3 - q^2 + 4q + 1); the caller is responsible for having
+    span must be 4-dimensional with at least 5q lines inside, and in fact
+    more than the (4d) bound allows; the caller is responsible for having
     checked those axioms.
     """
     if gon.k != 5 or not is_kgon_of(ls, gon):
@@ -173,7 +173,7 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
         lines_in_u=count,
         dim_is_4=u.projdim == 4,
         at_least_5q=count >= 5 * q,
-        at_least_cubic_bound=count >= q**3 - q**2 + 4 * q + 1,
+        at_least_cubic_bound=count >= axiom_allowed("4d", q) + 1,
         span=u,
     )
 
@@ -361,12 +361,11 @@ class HyperplaneConsequenceReport:
 
 
 def hyperplane_consequence_check(ls: LineSet) -> HyperplaneConsequenceReport:
-    """If the set has a pentagon, a 5-space through its span must carry at
-    least q^4 - q^3 + 3q^2 + 2q + 1 lines; also the whole set must span at
+    """If the set has a pentagon, a 5-space through its span must carry
+    more lines than the (Hp') bound allows; also the whole set must span at
     most a 6-space.  Preconditions (Pt), (Pl), (Sd), (To) are the caller's.
     """
-    q = ls.q
-    bound = q**4 - q**3 + 3 * q**2 + 2 * q + 1
+    bound = axiom_allowed("Hp'", ls.q) + 1
     sdim_ok = ls.span_dim() <= 6
     gon = find_kgon(ls, 5)
     if gon is None:

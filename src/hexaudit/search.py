@@ -3,10 +3,13 @@
 The point axiom forces degree q+1 at every covered point and the plane
 axiom forces those q+1 lines to be coplanar, so moves are made at pencil
 granularity: a move picks a point P and a plane through it and adds all
-q+1 lines of the plane through P, rejecting early any move that would
-push a point past degree q+1, a plane past q+1 lines or a solid past
-2q+1 lines.  "Dirty" points (degree strictly between 0 and q+1) are
-repaired first, inside the plane their current lines already span.
+q+1 lines of the plane through P.  The lines are counted at every point
+and in every subspace dimension whose count rules the spec's axioms name
+(``audit.count_rules``), and a move is rejected early if it would push a
+count past the smallest upper end of its rules: a point past degree q+1
+always, a plane past q+1 lines under (Pl), a solid past 2q+1 under (Sd).
+"Dirty" points (degree strictly between 0 and q+1) are repaired first,
+inside the plane their current lines already span.
 
 Every candidate in a clean state is re-validated with the independent
 audit module before being reported.  Runs are fully reproducible from
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 
-from .audit import AxiomConfig, audit
+from .audit import AxiomConfig, audit, axiom_allowed, count_rules, rejected
 from .lineset import LineSet
 from .pg import PG, projective_space
 from .polygon import find_kgon
@@ -66,26 +69,11 @@ class SearchSpec:
         for key in ("n", "q", "axioms"):
             if key not in d:
                 raise ValueError(f"missing required key {key!r}")
-        return cls(
-            n=d["n"],
-            q=d["q"],
-            axioms=AxiomConfig.from_names(d["axioms"]),
-            mode=d.get("mode", "randomized-greedy"),
-            seed=d.get("seed", 0),
-            budget=d.get("budget", 1000),
-            target=d.get("target", "pentagon"),
-        )
+        return cls(**{**d, "axioms": AxiomConfig.from_names(d["axioms"])})
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "axioms": list(self.axioms.enabled()),
-            "mode": self.mode,
-            "seed": self.seed,
-            "budget": self.budget,
-            "target": self.target,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**d, "axioms": list(self.axioms.enabled())}
 
 
 @dataclass
@@ -99,41 +87,47 @@ class SearchResult:
 
 
 class _State:
-    """Degrees and plane/solid line counts of the chosen lines, under caps."""
+    """Line counts of the chosen lines in every dimension that the spec's
+    count rules name, points always among them under (Pt): every move is a
+    pencil.  Each count has the smallest upper end of its rules as a cap."""
 
-    def __init__(self, space: PG, q: int):
+    def __init__(self, space: PG, axioms: AxiomConfig):
         self.space = space
-        self.q = q
+        q = space.q
+        rules = {0: {"Pt": axiom_allowed("Pt", q)}, **count_rules(axioms, q)}
+        rules = {d: rs for d, rs in rules.items() if d <= space.n}
+        self.caps = {
+            d: min(max(r) if isinstance(r, set) else r for r in rs.values())
+            for d, rs in rules.items()
+        }
+        self._rejected = {d: rejected(rs, self.caps[d]) for d, rs in rules.items()}
+        self.counts: dict[int, dict] = {d: {} for d in rules}
+        self.degree = self.counts[0]
         self.chosen: set = set()
-        self.degree: dict[int, int] = {}
-        self.plane_counts: dict[bytes, int] = {}
-        self.solid_counts: dict[bytes, int] = {}
         self._memo: dict = {}
 
     def _incidence(self, key):
-        """(counter, its keys on the line, cap) for points, planes and solids."""
+        """(counter, its keys on the line, cap) per counted dimension."""
         inc = self._memo.get(key)
         if inc is None:
-            space, q = self.space, self.q
+            space = self.space
 
             def through(d):
-                if d > space.n:
-                    return ()
+                if not d:
+                    return space.line_point_indices(key)
                 return tuple(
                     bytes(x for row in rows for x in row)
                     for rows in space.subspaces_through_rows(key, d)
                 )
 
-            inc = (
-                (self.degree, space.line_point_indices(key), q + 1),
-                (self.plane_counts, through(2), q + 1),
-                (self.solid_counts, through(3), 2 * q + 1),
+            inc = self._memo[key] = tuple(
+                (counts, through(d), self.caps[d]) for d, counts in self.counts.items()
             )
-            self._memo[key] = inc
         return inc
 
-    def line_pts(self, key):
-        return self._incidence(key)[0][1]
+    def lines_at(self, point_idx: int) -> list:
+        """The chosen lines through the point."""
+        return [k for k in self.chosen if point_idx in self._incidence(k)[0][1]]
 
     def _count(self, keys, step: int) -> bool:
         """Shift every count on the lines by step, deleting counts that reach
@@ -153,7 +147,7 @@ class _State:
 
     def try_add(self, keys) -> bool:
         """Add the new lines as one move; undo it and return False if it
-        would push a point, plane or solid past its cap."""
+        would push some count past its cap."""
         assert self.chosen.isdisjoint(keys)
         if self._count(keys, 1):
             self._count(keys, -1)
@@ -166,19 +160,17 @@ class _State:
         self._count(keys, -1)
 
     def dirty_points(self) -> list[int]:
-        q = self.q
-        return sorted(p for p, d in self.degree.items() if 0 < d < q + 1)
+        return sorted(p for p, c in self.degree.items() if c in self._rejected[0])
 
     def score(self) -> int:
-        """Distance to a (Pt)/(Pl)/(Sd)-clean state; 0 means clean."""
-        q = self.q
-        s = sum(q + 1 - d for d in self.degree.values() if 0 < d < q + 1)
-        s += sum(1 for c in self.plane_counts.values() if 1 < c < q + 1)
-        s += sum(
-            1
-            for c in self.solid_counts.values()
-            if c not in (0, 1, q + 1, 2 * q + 1)
-        )
+        """Distance to a state that every counted rule accepts, 0 when clean:
+        the lines missing at the covered points, plus the subspaces whose
+        count a rule rejects."""
+        full = self.caps[0]
+        s = sum(full - c for c in self.degree.values())
+        for d, counts in self.counts.items():
+            if d:
+                s += sum(map(self._rejected[d].__contains__, counts.values()))
         return s
 
 
@@ -205,8 +197,7 @@ def run(spec: SearchSpec) -> SearchResult:
     """Run the search; returns a validated candidate or None plus a log."""
     space = projective_space(spec.n, spec.q)
     rng = random.Random(spec.seed)
-    q = spec.q
-    state = _State(space, q)
+    state = _State(space, spec.axioms)
     log_lines = [
         "hexaudit search log",
         f"generator: {GENERATOR_NAME}",
@@ -215,81 +206,59 @@ def run(spec: SearchSpec) -> SearchResult:
         f"target={spec.target} axioms={','.join(spec.axioms.enabled())}",
     ]
     best_score = None
-    iterations = 0
-    restarts = 0
-    candidates = 0
+    iterations = restarts = candidates = 0
     found: LineSet | None = None
 
-    def fresh_plane_rows(point_idx):
-        point = space.points[point_idx]
-        planes = space.subspaces_through_rows((point,), 2)
-        return planes[rng.randrange(len(planes))]
+    def pick(rows):
+        """A random plane through the rows of a point or a line."""
+        return rng.choice(space.subspaces_through_rows(rows, 2))
 
-    while iterations < spec.budget and found is None:
+    while iterations < spec.budget:
         iterations += 1
         dirty = state.dirty_points()
-        moved = False
         if dirty:
-            p = dirty[rng.randrange(len(dirty))]
-            lines_at_p = [key for key in state.chosen if p in state.line_pts(key)]
-            rows = [r for key in lines_at_p for r in key]
-            span = space.rref(rows)
-            if len(span) == 2:
-                candidates_planes = space.subspaces_through_rows(span, 2)
-                plane_rows = candidates_planes[rng.randrange(len(candidates_planes))]
-            elif len(span) == 3:
-                plane_rows = span
-            else:
-                plane_rows = None
-            if plane_rows is not None:
-                moved = _pencil_move(state, p, plane_rows)
-            if not moved:
+            p = rng.choice(dirty)
+            lines_at_p = state.lines_at(p)
+            span = space.rref([r for key in lines_at_p for r in key])
+            plane = pick(span) if len(span) == 2 else span if len(span) == 3 else None
+            if plane is None or not _pencil_move(state, p, plane):
                 # Unrepairable point: drop its lines and start over there.
                 state.remove(lines_at_p)
                 restarts += 1
-                moved = True
         else:
-            if state.chosen and state.score() == 0:
+            clean = state.chosen and state.score() == 0
+            if clean:
                 candidates += 1
                 ls = LineSet(space, sorted(state.chosen), canonical=True)
-                rep = audit(ls, spec.axioms)
-                if rep.passed and _target_met(ls, spec.target):
+                if audit(ls, spec.axioms).passed and _target_met(ls, spec.target):
                     found = ls
-                    log_lines.append(
-                        f"hit: iteration={iterations} lines={len(ls)}"
-                    )
+                    log_lines.append(f"hit: iteration={iterations} lines={len(ls)}")
                     break
-                if spec.mode == "local-swap":
-                    # Perturb: remove a random full pencil and keep going.
-                    full = sorted(
-                        p for p, d in state.degree.items() if d == q + 1
-                    )
-                    if full:
-                        p = full[rng.randrange(len(full))]
-                        state.remove(
-                            [k for k in state.chosen if p in state.line_pts(k)]
-                        )
-                        moved = True
-            if not moved:
-                covered = {p for p, d in state.degree.items() if d > 0}
-                pool = [i for i in range(len(space.points)) if i not in covered]
+            if clean and spec.mode == "local-swap":
+                # Perturb: remove a random pencil (no point is dirty, so
+                # every covered point is full) and keep going.
+                state.remove(state.lines_at(rng.choice(sorted(state.degree))))
+            else:
+                pool = [i for i in range(len(space.points)) if i not in state.degree]
                 if not pool:
                     break
-                p = pool[rng.randrange(len(pool))]
-                _pencil_move(state, p, fresh_plane_rows(p))
+                p = rng.choice(pool)
+                _pencil_move(state, p, pick((space.points[p],)))
         sc = state.score()
         if best_score is None or sc < best_score:
             best_score = sc
-    log_lines.append(f"iterations: {iterations}")
-    log_lines.append(f"restarts: {restarts}")
-    log_lines.append(f"candidates_checked: {candidates}")
-    log_lines.append(f"best_score: {best_score if best_score is not None else -1}")
-    log_lines.append(f"outcome: {'found' if found is not None else 'none'}")
+    log_lines += [
+        f"iterations: {iterations}",
+        f"restarts: {restarts}",
+        f"candidates_checked: {candidates}",
+        f"best_score: {best_score}",
+        f"outcome: {'found' if found is not None else 'none'}",
+    ]
     return SearchResult(
         found=found,
         log="\n".join(log_lines) + "\n",
         iterations=iterations,
         restarts=restarts,
-        best_score=best_score if best_score is not None else -1,
+        best_score=best_score,
         candidates_checked=candidates,
     )

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hexaudit.audit as audit_module
 from hexaudit.audit import (
@@ -23,17 +23,29 @@ from hexaudit.audit import (
     _violates,
     audit,
     axiom_allowed,
+    count_rules,
     naive_audit,
+    rejected,
 )
 from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset, dumps_report, report_document
-from hexaudit.hexagon import build
+from hexaudit.hexagon import build, build_cached
 from hexaudit.lineset import LineSet
 from hexaudit.pg import gaussian_binomial, projective_space
-from hexaudit.polygon import expansion_bound, hyperplane_consequence_check
+from hexaudit.polygon import (
+    expansion_bound,
+    girth_and_diameter,
+    hyperplane_consequence_check,
+)
+from hexaudit.quadric import parabolic_quadric
 
-# Benchmark goldens, read only: PGLS digests and report documents.
-GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+# Benchmark goldens and inputs, read only: PGLS digests and report documents.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDENS = PERFBENCH / "goldens.json"
+
+# SHA-256 of dumps_report(audit(H(4) projected into PG(5, 4), all
+# axioms).to_dict()), recorded with the kernel that gives H4_REPORT_SHA256.
+H4_PROJ5_REPORT_SHA256 = "0442d5f4faa0af595aa6a0f8dd3d3a0cf1911546da0b51cc477113f4badb4543"
 
 # SHA-256 of dumps_report(audit(H(4), all axioms).to_dict()), recorded with
 # the kernel that enumerated every subspace, before counts were derived.
@@ -115,6 +127,19 @@ class TestAllowedCounts:
         """The dual kernel derives count 1 and never flags it."""
         for axiom in _AXIOM_DIM:
             assert not _violates(axiom_allowed(axiom, q), 1), axiom
+
+
+    def test_count_rules_by_dimension(self):
+        q = 2
+        assert count_rules(AxiomConfig.all(), q) == {
+            2: {"Pl": {1, 3}},
+            3: {"Sd": {1, 3, 5}, "Sd'": 5},
+            4: {"4d": 12},
+            5: {"Hp": 26, "Hp'": 24},
+        }
+        assert count_rules(AxiomConfig.from_names(["Pt", "To", "6d"]), q) == {}
+        rules = count_rules(AxiomConfig.from_names(["Sd", "Sd'"]), q)[3]
+        assert rejected(rules, 7) == {2, 4, 6, 7}
 
 
 class TestCountIn:
@@ -508,3 +533,122 @@ class TestHyperplaneConsequence:
         assert rep.hyperplane.projdim == 5
         assert not rep.ok
         assert rep.span_dim_at_most_6
+
+
+class TestFlatnessLemma:
+    """Under (Pl) and (Sd) the lines through a point of degree 3 or more are
+    coplanar.  Three concurrent lines L1, L2, L3 not in one plane span a
+    solid; each plane <Li, Lj> holds two lines, so q+1 under (Pl), and two
+    of these planes share only one Li, so the solid holds at least
+    3(q+1) - 3 = 3q > 2q+1 lines, which (Sd) forbids."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        space_key=st.sampled_from([(4, 2), (4, 3)]),
+        corner=st.integers(0, 10**6),
+        ends=st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+        pairs=RANDOM_PAIRS,
+    )
+    def test_three_concurrent_lines_off_a_plane_fail_pl_or_sd(
+        self, space_key, corner, ends, pairs
+    ):
+        space = projective_space(*space_key)
+        pts = space.points
+        x, *ys = (pts[i % len(pts)] for i in (corner, *ends))
+        assume(len(space.rref([x, *ys])) == 4)
+        legs = [space.rref((x, y)) for y in ys]
+        ls = LineSet(space, [*lineset_from_pairs(space_key, pairs).lines, *legs])
+        rep = audit(ls, AxiomConfig.from_names(["Pl", "Sd"]))
+        assert not (rep.verdicts["Pl"] and rep.verdicts["Sd"])
+
+
+def collineation_image(ls, seed):
+    """The image of the line set under a seeded random invertible matrix."""
+    space, w = ls.space, ls.space.width
+    add, mul = space.gf.add_table, space.gf.mul_table
+    rng = random.Random(seed)
+    m = [[0] * w]
+    while len(space.rref(m)) < w:
+        m = [[rng.randrange(space.q) for _ in range(w)] for _ in range(w)]
+
+    def apply(v):
+        out = [0] * w
+        for a, row in zip(v, m):
+            out = [add[o][mul[a][r]] for o, r in zip(out, row)]
+        return tuple(out)
+
+    return LineSet(space, [tuple(map(apply, key)) for key in ls.lines])
+
+
+def projected_to_pg5(ls):
+    """H(q) for even q projected from the nucleus e3 of its quadric: x3 is
+    dropped."""
+    lines = [tuple(r[:3] + r[4:] for r in key) for key in ls.lines]
+    return LineSet(projective_space(5, ls.q), lines)
+
+
+def failed(rep):
+    return {a for a, ok in rep.verdicts.items() if not ok}
+
+
+class TestControls:
+    """Objects at the theorem's edges whose answers are known exactly."""
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_hexagon_projected_into_pg5(self, q):
+        """For even q, dropping x3 maps H(q) one to one onto a flat, full
+        generalized hexagon of PG(5, q); (Sd) is what rejects it."""
+        proj = projected_to_pg5(build_cached(q))
+        rep = audit(proj, AxiomConfig.all())
+        assert len(proj) == len(build_cached(q)) and proj.span_dim() == 5
+        fails = {"Sd", "Sd'", "4d", "Hp", "Hp'"}
+        if q == 2:
+            fails.add("6d")  # (6d) asks for span 6 only when q <= 3
+        assert failed(rep) == fails
+        assert girth_and_diameter(proj) == (12, 6)
+        if q == 2:
+            text = dump_lineset(proj)
+            assert text == (PERFBENCH / "inputs" / "h2-proj5.pgls").read_text()
+            doc = report_document("audit", rep.to_dict(), source_text=text)
+            doc.pop("version")
+            assert doc == json.loads(GOLDENS.read_text())["reports"]["h2-proj5"]
+        else:
+            digest = hashlib.sha256(dumps_report(rep.to_dict()).encode()).hexdigest()
+            assert digest == H4_PROJ5_REPORT_SHA256
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_collineation_image_of_hexagon_keeps_the_report(self, q):
+        """The report depends on the set only up to collineation; the image
+        drives the kernel through other pivot sets."""
+        h = build_cached(q)
+        image = collineation_image(h, seed=q)
+        assert image.lines != h.lines
+        cfg = AxiomConfig.all()
+        assert audit(image, cfg).to_dict() == audit(h, cfg).to_dict()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        space_key=st.sampled_from([(4, 2), (4, 3)]),
+        pairs=RANDOM_PAIRS,
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_images_match_naive(self, space_key, pairs, seed):
+        ls = lineset_from_pairs(space_key, pairs)
+        image = collineation_image(ls, seed)
+        cfg = AxiomConfig.all()
+        rep = audit(image, cfg)
+        assert rep.to_dict() == naive_audit(image, cfg).to_dict()
+        before = audit(ls, cfg)
+        assert (rep.histograms, rep.verdicts) == (before.histograms, before.verdicts)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_one_line_swap_fails_the_main_theorem(self, q):
+        """H(q) with its first line replaced by an isotropic line that is
+        not a hexagon line."""
+        h = build_cached(q)
+        extra = next(r for r in parabolic_quadric(q).isotropic_lines() if r not in h)
+        swap = LineSet(h.space, h.lines[1:] + (extra,), canonical=True)
+        rep = audit(swap, AxiomConfig.main_theorem())
+        assert failed(rep) == {"Pt", "Pl", "Sd"}
+        (point,) = rep.witnesses["Pt"]
+        assert swap.degree(swap.space.point_index[point]) != q + 1

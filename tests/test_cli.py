@@ -293,6 +293,21 @@ class TestSearch:
         assert capsys.readouterr().out.splitlines()[0] == "none"
         assert (tmp_path / "plane.log").read_text().endswith("outcome: none\n")
 
+    def test_point_axiom_search_finds_the_plane(self, tmp_path, capsys):
+        """With (Pt) alone the caps are those of (Pt): the 7 lines of
+        PG(2, 2) pass it, and the search finds them."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"n": 2, "q": 2, "axioms": ["Pt"], "budget": 500, "target": "any"}
+        ))
+        prefix = tmp_path / "pt"
+        assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("found: 7 lines")
+        assert (tmp_path / "pt.log").read_text().endswith("outcome: found\n")
+        lines = tmp_path / "pt.lines"
+        assert len(load_lineset(lines.read_text())) == 7
+        assert main(["audit", "--in", str(lines), "--axioms", "Pt"]) == 0
+
     def test_unwritable_out_prefix_is_usage_error(self, tmp_path, capsys, monkeypatch):
         must_not_compute(monkeypatch, "run_search")
         spec = tmp_path / "spec.json"

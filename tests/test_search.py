@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -51,10 +52,32 @@ class TestSpec:
         assert spec.target == "pentagon"
 
 
+PT_PL_SD = AxiomConfig.from_names(["Pt", "Pl", "Sd"])
+
+
 class TestState:
+    def test_counts_what_the_axioms_name(self):
+        space = projective_space(4, 2)
+        assert _State(space, AxiomConfig.from_names(["Pt"])).caps == {0: 3}
+        state = _State(space, AxiomConfig.from_names(["Pt", "Pl", "Sd", "4d"]))
+        assert state.caps == {0: 3, 2: 3, 3: 5, 4: 12}
+        point = space.points[0]
+        pencil = space.pencil(point, space.subspaces_through_rows((point,), 2)[0])
+        assert state.try_add(pencil)
+        # The pencil's plane holds 3 lines, each of the 3 solids through it
+        # 3, and the whole space, the only 4-space, 3; every other plane or
+        # solid through a pencil line holds that line alone.
+        tallies = {d: Counter(c.values()) for d, c in state.counts.items()}
+        assert tallies == {
+            0: {3: 1, 1: 6}, 2: {3: 1, 1: 18}, 3: {3: 3, 1: 12}, 4: {3: 1}
+        }
+        # Points are counted under (Pt) even when the spec leaves it out,
+        # and no dimension above the space's is counted.
+        assert _State(space, AxiomConfig.from_names(["Hp", "To"])).caps == {0: 3}
+
     def test_pencil_move_respects_caps(self):
         space = projective_space(4, 2)
-        state = _State(space, 2)
+        state = _State(space, PT_PL_SD)
         point = space.points[0]
         plane_rows = space.subspaces_through_rows((point,), 2)[0]
         pencil = space.pencil(point, plane_rows)
@@ -68,35 +91,27 @@ class TestState:
 
     def test_add_remove_round_trip(self):
         space = projective_space(4, 2)
-        state = _State(space, 2)
+        state = _State(space, PT_PL_SD)
         point = space.points[5]
         plane_rows = space.subspaces_through_rows((point,), 2)[0]
         pencil = space.pencil(point, plane_rows)
         assert state.try_add(pencil)
         state.remove(pencil)
         assert not state.chosen
-        assert all(d == 0 for d in state.degree.values())
-        assert all(c == 0 for c in state.plane_counts.values())
-        assert all(c == 0 for c in state.solid_counts.values())
         # Counts that return to 0 are deleted.
-        assert not (state.degree or state.plane_counts or state.solid_counts)
+        assert state.counts == {0: {}, 2: {}, 3: {}}
 
     def test_degree_cap_blocks_overfull_point(self):
         space = projective_space(4, 2)
-        state = _State(space, 2)
+        state = _State(space, PT_PL_SD)
         point = space.points[0]
         planes = space.subspaces_through_rows((point,), 2)
         assert _pencil_move(state, 0, planes[0])
-        before = (
-            set(state.chosen),
-            dict(state.degree),
-            dict(state.plane_counts),
-            dict(state.solid_counts),
-        )
+        before = (set(state.chosen), {d: dict(c) for d, c in state.counts.items()})
         # A second pencil at the same point would exceed degree q+1, and the
         # refused move leaves the state as it was.
         assert not _pencil_move(state, 0, planes[1])
-        after = (state.chosen, state.degree, state.plane_counts, state.solid_counts)
+        after = (state.chosen, state.counts)
         assert after == before
 
 
@@ -138,6 +153,20 @@ class TestRun:
     def test_local_swap_mode_runs(self):
         res = run(make_spec(mode="local-swap", budget=100, seed=2))
         assert res.iterations <= 100
+
+    def test_point_and_span_spec_checks_candidates_in_both_modes(self):
+        """Under (Pt) and (6d) only points are capped, so the walk reaches
+        clean states in PG(3, 2); (6d) rejects each, and the two modes go
+        on from there differently."""
+        axioms = AxiomConfig.from_names(["Pt", "6d"])
+        logs = []
+        for mode in MODES:
+            res = run(make_spec(n=3, q=2, axioms=axioms, mode=mode, seed=0))
+            assert res.found is None
+            assert res.candidates_checked >= 1
+            logs.append(res.log.splitlines())
+        differ = [a for a, b in zip(*logs) if a != b]
+        assert any(not line.startswith("spec: ") for line in differ)
 
     def test_logs_match_recorded_digest(self):
         """Pins the search across commits, where replay only compares two runs
