@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -46,6 +48,15 @@ def _write(out, text: str) -> None:
     if out is not sys.stdout:
         out.truncate(0)
     out.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, leaving no new file."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.unlink(path)
+    except FileExistsError:
+        os.close(os.open(path, os.O_WRONLY))
 
 
 def cmd_build(args) -> int:
@@ -165,6 +176,7 @@ def cmd_search(args) -> int:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     prefix = args.out_prefix or "search"
+    _check_writable(prefix + ".lines")
     with _open_out(prefix + ".log") as log:
         result = run_search(spec)
         _write(log, result.log)
@@ -177,6 +189,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexaudit",
@@ -221,8 +234,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalConsistencyError as exc:

@@ -15,7 +15,7 @@ immutable after construction; every operation is pure.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 MAX_Q = 16
 
@@ -158,7 +158,7 @@ class GF:
         return f"GF({self.q})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def field(q: int) -> GF:
     """Shared GF(q) instance; tables are immutable, so caching is safe."""
     return GF(q)

@@ -19,7 +19,7 @@ broken sign convention and aborts construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cache
 
 from .errors import InternalConsistencyError
 from .lineset import LineSet
@@ -104,7 +104,7 @@ def build(q: int) -> LineSet:
     return ls
 
 
-@lru_cache(maxsize=8)
+@cache
 def build_cached(q: int) -> LineSet:
     return build(q)
 

@@ -18,7 +18,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 
 from .gf import GF, field
 
@@ -180,6 +180,7 @@ class PG:
         }
         self.key = (n, q)
         self._rref_rows: dict = {}
+        self._rref_bases: dict = {}
 
     def check_ambient(self, other: "PG") -> None:
         if other.key != self.key:
@@ -265,18 +266,19 @@ class PG:
                 for p in pivots
             )
 
-    @lru_cache(maxsize=64)
     def rref_bases(self, k: int) -> tuple:
         """Sorted canonical bases of all (k-1)-dimensional subspaces, each row
-        a tuple of the point table; cached."""
-        pts = self.points
-        return tuple(sorted(
-            tuple(map(pts.__getitem__, rows))
-            for shape in self.rref_shapes(k)
-            for rows in itertools.product(
-                *(self.rref_row_indices(p, free) for p, free in shape)
-            )
-        ))
+        a tuple of the point table.  Memoized per space."""
+        if k not in self._rref_bases:
+            pts = self.points
+            self._rref_bases[k] = tuple(sorted(
+                tuple(map(pts.__getitem__, rows))
+                for shape in self.rref_shapes(k)
+                for rows in itertools.product(
+                    *(self.rref_row_indices(p, free) for p, free in shape)
+                )
+            ))
+        return self._rref_bases[k]
 
     def rref_row_indices(self, pivot: int, free: tuple[int, ...]) -> tuple[int, ...]:
         """Point indices, in point order, of the RREF rows with a 1 at ``pivot``,
@@ -419,7 +421,7 @@ class PG:
         return f"PG({self.n}, {self.q})"
 
 
-@lru_cache(maxsize=32)
+@cache
 def projective_space(n: int, q: int) -> PG:
     """Shared PG(n, q) instance; geometry tables are immutable."""
     return PG(n, q)

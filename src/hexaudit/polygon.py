@@ -178,43 +178,39 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
     )
 
 
-def _full_pencil_points(ls: LineSet, u: Subspace) -> set[int]:
-    """Points whose full pencil of q+1 set lines lies inside ``u``."""
-    q = ls.q
-    in_u = ls.lines_in(u)
-    out = set()
-    for pi, line_ids in ls.point_lines.items():
-        if sum(1 for li in line_ids if li in in_u) == q + 1:
-            out.add(pi)
-    return out
+def _full_pencil_points(ls: LineSet, in_u: set[int]) -> list[int]:
+    """The points, sorted, whose q+1 set lines are all among ``in_u``, the
+    ids of the set lines inside some subspace U."""
+    return [
+        p for p, line_ids in ls.point_lines.items()
+        if len(in_u.intersection(line_ids)) == ls.q + 1
+    ]
+
+
+def _pencil_plane_points(ls: LineSet, special: list[int]) -> dict[int, list[int]]:
+    """Each full-pencil point -> the full-pencil points in its pencil plane."""
+    pts = ls.space.points
+    planes = {p: ls.pencil_span(p) for p in special}
+    return {p: [x for x in special if planes[p].contains_vec(pts[x])] for p in special}
 
 
 def qp1_points_on_line(ls: LineSet, u: Subspace, s) -> int:
-    """Number of points of the line ``s`` whose pencil count inside u is q+1."""
-    if not isinstance(s, Subspace):
-        s = ls.space.subspace(s)
-    if not u.contains(s):
+    """Number of points of the line with basis rows ``s`` whose pencil count
+    inside u is q+1."""
+    line = ls.space.subspace(s)
+    if not u.contains(line):
         raise ValueError("line is not contained in the subspace")
-    special = _full_pencil_points(ls, u)
-    pts = ls.space.line_point_indices(s.rows)
-    return sum(1 for p in pts if p in special)
+    pts = ls.space.points
+    special = _full_pencil_points(ls, ls.lines_in(u))
+    return sum(1 for p in special if line.contains_vec(pts[p]))
 
 
 def pencil_plane_qp1_bound(ls: LineSet, m: Subspace):
     """For each full-pencil point P of m, count such points inside the
     pencil plane; the structural bound is q + 2.  Returns (ok, counts)."""
-    space = ls.space
-    q = ls.q
-    special = _full_pencil_points(ls, m)
-    counts = {}
-    for p in sorted(special):
-        plane = ls.pencil_span(p)
-        inside = sum(
-            1 for x in special if plane.contains_vec(space.points[x])
-        )
-        counts[p] = inside
-    ok = all(c <= q + 2 for c in counts.values())
-    return ok, counts
+    planes = _pencil_plane_points(ls, _full_pencil_points(ls, ls.lines_in(m)))
+    counts = {p: len(in_plane) for p, in_plane in planes.items()}
+    return all(c <= ls.q + 2 for c in counts.values()), counts
 
 
 @dataclass
@@ -244,50 +240,36 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
     rep = audit(ls, AxiomConfig.from_names(["Pt", "Pl", "Sd"]))
     if not rep.passed:
         raise ValueError("line set fails (Pt)/(Pl)/(Sd); refusing the check")
-    restricted = ls.restrict_to(u)
-    pentagons = all_kgons(restricted, 5)
+    pentagons = all_kgons(ls.restrict_to(u), 5)
     if not pentagons:
         raise ValueError("subspace contains no pentagon")
-    special = _full_pencil_points(ls, u)
-    space = ls.space
-
+    special = _full_pencil_points(ls, ls.lines_in(u))
+    planes = _pencil_plane_points(ls, special)
+    # Every ordered vertex triple of a pentagon; a pair (a, b) on a common
+    # pentagon is the triple (a, b, b).
     vertex_sets = [set(g.vertices) for g in pentagons]
+    together = {(a, b, c) for vs in vertex_sets for a in vs for b in vs for c in vs}
     in_pentagon = set().union(*vertex_sets)
 
-    violations_a = []
-    for p in sorted(special):
-        for g, vs in zip(pentagons, vertex_sets):
-            for v in vs:
-                if v != p and ls.line_through(p, v) is not None:
-                    if not any(p in ws and v in ws for ws in vertex_sets):
-                        violations_a.append((p, v))
-    violations_b = [p for p in sorted(special) if p not in in_pentagon]
+    violations_a = sorted(
+        (p, v)
+        for p in special
+        for v in in_pentagon
+        if v != p and (p, v, v) not in together and ls.line_through(p, v) is not None
+    )
+    violations_b = [p for p in special if p not in in_pentagon]
     violations_c = []
-    for p in sorted(special):
-        plane = ls.pencil_span(p)
-        in_plane = [
-            x for x in sorted(special) if plane.contains_vec(space.points[x])
-        ]
+    for p in special:
+        in_plane = [x for x in planes[p] if x != p]
         for qpt in in_plane:
-            if qpt == p:
-                continue
+            pq = ls.line_through(p, qpt)
             for rpt in in_plane:
-                if rpt == p:
-                    continue
-                if rpt != qpt:
-                    li = ls.line_through(p, qpt)
-                    if li is not None and rpt in ls.line_points[li]:
-                        continue  # R on line PQ: hypothesis not met
-                if not any(
-                    p in ws and qpt in ws and rpt in ws for ws in vertex_sets
-                ):
+                if rpt != qpt and pq is not None and rpt in ls.line_points[pq]:
+                    continue  # R on line PQ: hypothesis not met
+                if (p, qpt, rpt) not in together:
                     violations_c.append((p, qpt, rpt))
     return PentagonExtensionReport(
-        num_pentagons=len(pentagons),
-        num_special_points=len(special),
-        violations_a=sorted(set(violations_a)),
-        violations_b=violations_b,
-        violations_c=sorted(set(violations_c)),
+        len(pentagons), len(special), violations_a, violations_b, violations_c
     )
 
 
@@ -309,40 +291,23 @@ def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
     a line s with a (alpha = number of full-pencil points of m on s),
     |L| >= q|L_M| - alpha q^2 + alpha q + 1.
     """
-    if isinstance(l, Subspace):
-        lrows = l.rows
-    else:
-        lrows = ls.space.rref(l)
+    lrows = ls.space.rref(l)
     if lrows not in ls:
         raise ValueError("l is not a line of the set")
-    lsub = Subspace(ls.space, lrows, canonical=True)
-    inter = ls.space.meet(lsub, m)
-    if inter.projdim != 0:
+    if ls.space.meet(Subspace(ls.space, lrows, canonical=True), m).projdim != 0:
         raise ValueError("l must meet the subspace in exactly one point")
     q = ls.q
-    in_m = [ls.lines[li] for li in sorted(ls.lines_in(m))]
+    in_m = ls.lines_in(m)
     lm = len(in_m)
-    l_pts = set(ls.space.line_point_indices(lrows))
-    meeting = [
-        key
-        for key in in_m
-        if l_pts & set(ls.space.line_point_indices(key))
-    ]
+    l_pts = ls.line_points[ls.lines.index(lrows)]
+    meeting = sorted(in_m.intersection(li for p in l_pts for li in ls.point_lines[p]))
     if not meeting:
         bound = q * lm + 1
         return ExpansionReport(lm, None, None, None, bound, len(ls.lines) >= bound)
-    s = meeting[0]
-    special = _full_pencil_points(ls, m)
-    alpha = sum(1 for p in ls.space.line_point_indices(s) if p in special)
+    special = _full_pencil_points(ls, in_m)
+    alpha = len(set(ls.line_points[meeting[0]]).intersection(special))
     bound = q * lm - alpha * q**2 + alpha * q + 1
-    return ExpansionReport(
-        lines_in_m=lm,
-        meets_unique_s=len(meeting) == 1,
-        alpha=alpha,
-        alpha_at_most_q=alpha <= q,
-        bound=bound,
-        holds=len(ls.lines) >= bound,
-    )
+    return ExpansionReport(lm, len(meeting) == 1, alpha, alpha <= q, bound, len(ls.lines) >= bound)
 
 
 @dataclass

@@ -17,7 +17,7 @@ subspace in every characteristic.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import cache
 
 from .errors import InternalConsistencyError
 from .pg import PG, Subspace, projective_space
@@ -165,6 +165,6 @@ class ParabolicQuadric:
         raise InternalConsistencyError(f"section radical has projdim {rdim}")
 
 
-@lru_cache(maxsize=8)
+@cache
 def parabolic_quadric(q: int) -> ParabolicQuadric:
     return ParabolicQuadric(projective_space(6, q))

@@ -318,6 +318,47 @@ class TestSearch:
         assert captured.out == ""
         assert_one_error_line(captured.err, str(prefix))
 
+    def test_unwritable_lines_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """``<prefix>.lines`` is checked before the walk, as ``.log`` is: a
+        directory in its place refuses the run and leaves no new file."""
+        must_not_compute(monkeypatch, "run_search")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"n": 2, "q": 2, "axioms": ["Pt"], "budget": 500, "target": "any"}
+        ))
+        (tmp_path / "pt.lines").mkdir()
+        before = sorted(tmp_path.iterdir())
+        prefix = tmp_path / "pt"
+        assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "pt.lines")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_unwritable_log_leaves_no_lines_file(self, tmp_path, capsys, monkeypatch):
+        must_not_compute(monkeypatch, "run_search")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 2, "q": 2, "axioms": ["Pt"], "budget": 5}))
+        (tmp_path / "pt.log").mkdir()
+        before = sorted(tmp_path.iterdir())
+        prefix = tmp_path / "pt"
+        assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 2
+        assert_one_error_line(capsys.readouterr().err, "pt.log")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_none_run_leaves_lines_file_alone(self, tmp_path, capsys):
+        """A run that ends ``none`` creates no ``.lines`` file and keeps an
+        existing one byte for byte."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 2, "q": 2, "axioms": ["Pt", "Pl"], "budget": 20}))
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        (tmp_path / "old.lines").write_bytes(b"old bytes\n")
+        for prefix in (fresh, old):
+            assert main(["search", "--spec", str(spec), "--out-prefix", str(prefix)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == "none"
+        assert not (tmp_path / "fresh.lines").exists()
+        assert (tmp_path / "old.lines").read_bytes() == b"old bytes\n"
+
     def test_bad_spec(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Zz"]}))
@@ -349,6 +390,23 @@ class TestSearch:
         spec.write_text(json.dumps(doc))
         assert main(["search", "--spec", str(spec)]) == 2
         assert_one_error_line(capsys.readouterr().err, reason)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.make_parser() is cli.make_parser()
+
+    def test_usage_error_after_another_command(self, tmp_path, capsys):
+        """The parser is built once and reused: a usage error after an
+        ``srg`` run in the same process reads as it does alone."""
+        argv = ["audit", "--in", str(tmp_path / "missing.pgls")]
+        alone = run_cli(*argv)
+        assert main(["srg", "--q", "2"]) == 0
+        capsys.readouterr()
+        assert main(argv) == alone.returncode == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "missing.pgls")
+        assert err == alone.stderr
 
 
 class TestSubprocessEntry:

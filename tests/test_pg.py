@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexaudit.pg import (
+    PG,
     PluckerCoords,
     Subspace,
     gaussian_binomial,
@@ -304,6 +307,26 @@ class TestSpanMeet:
             s1.span(a, b)
         with pytest.raises(ValueError):
             s1.meet(b, a)
+
+
+class TestMemo:
+    def test_rref_bases_same_tuple_after_other_spaces(self):
+        """The table lives in its space: the bases of 70 other (space, k)
+        pairs do not push it out, as they did from a 64-entry LRU."""
+        first = projective_space(4, 2).rref_bases(2)
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for n in range(4):
+                for k in range(1, n + 2):
+                    projective_space(n, q).rref_bases(k)
+        assert projective_space(4, 2).rref_bases(2) is first
+
+    def test_rref_bases_does_not_pin_its_space(self):
+        space = PG(3, 2)
+        space.rref_bases(2)
+        ref = weakref.ref(space)
+        del space
+        gc.collect()
+        assert ref() is None
 
 
 class TestRrefRowIndices:

@@ -1,15 +1,18 @@
 import math
+import random
 from collections import deque
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hexaudit.polygon as polygon_module
 from hexaudit.lineset import LineSet
-from hexaudit.pg import projective_space
+from hexaudit.pg import Subspace, projective_space
 from hexaudit.polygon import (
+    ExpansionReport,
     KGon,
     all_kgons,
+    expansion_bound,
     find_kgon,
     girth_and_diameter,
     is_kgon_of,
@@ -415,3 +418,193 @@ class TestPentagonExtension:
             (1, 2, 2), (1, 2, 3), (1, 3, 2), (2, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)
         ]
         assert not rep.ok
+
+
+# The pentagon checks as they were before they read one full-pencil index:
+# referees for the checks over that index and LineSet's own indexes.
+
+
+def reference_full_pencil_points(ls, u):
+    in_u = ls.lines_in(u)
+    return {
+        pi for pi, line_ids in ls.point_lines.items()
+        if sum(1 for li in line_ids if li in in_u) == ls.q + 1
+    }
+
+
+def reference_qp1_points_on_line(ls, u, s):
+    s = ls.space.subspace(s)
+    if not u.contains(s):
+        raise ValueError("line is not contained in the subspace")
+    special = reference_full_pencil_points(ls, u)
+    return sum(1 for p in ls.space.line_point_indices(s.rows) if p in special)
+
+
+def reference_pencil_plane_qp1_bound(ls, m):
+    special = reference_full_pencil_points(ls, m)
+    counts = {}
+    for p in sorted(special):
+        plane = ls.pencil_span(p)
+        counts[p] = sum(1 for x in special if plane.contains_vec(ls.space.points[x]))
+    return all(c <= ls.q + 2 for c in counts.values()), counts
+
+
+def reference_pentagon_extension_check(ls, u):
+    """The parent's check without its axiom guard."""
+    pentagons = all_kgons(ls.restrict_to(u), 5)
+    if not pentagons:
+        raise ValueError("subspace contains no pentagon")
+    special = reference_full_pencil_points(ls, u)
+    space = ls.space
+    vertex_sets = [set(g.vertices) for g in pentagons]
+    in_pentagon = set().union(*vertex_sets)
+    violations_a = []
+    for p in sorted(special):
+        for vs in vertex_sets:
+            for v in vs:
+                if v != p and ls.line_through(p, v) is not None:
+                    if not any(p in ws and v in ws for ws in vertex_sets):
+                        violations_a.append((p, v))
+    violations_b = [p for p in sorted(special) if p not in in_pentagon]
+    violations_c = []
+    for p in sorted(special):
+        plane = ls.pencil_span(p)
+        in_plane = [x for x in sorted(special) if plane.contains_vec(space.points[x])]
+        for qpt in in_plane:
+            if qpt == p:
+                continue
+            for rpt in in_plane:
+                if rpt == p:
+                    continue
+                if rpt != qpt:
+                    li = ls.line_through(p, qpt)
+                    if li is not None and rpt in ls.line_points[li]:
+                        continue
+                if not any(p in ws and qpt in ws and rpt in ws for ws in vertex_sets):
+                    violations_c.append((p, qpt, rpt))
+    return polygon_module.PentagonExtensionReport(
+        num_pentagons=len(pentagons),
+        num_special_points=len(special),
+        violations_a=sorted(set(violations_a)),
+        violations_b=violations_b,
+        violations_c=sorted(set(violations_c)),
+    )
+
+
+def reference_expansion_bound(ls, m, l):
+    space, q = ls.space, ls.q
+    lrows = space.rref(l)
+    if lrows not in ls:
+        raise ValueError("l is not a line of the set")
+    if space.meet(Subspace(space, lrows, canonical=True), m).projdim != 0:
+        raise ValueError("l must meet the subspace in exactly one point")
+    in_m = [ls.lines[li] for li in sorted(ls.lines_in(m))]
+    lm = len(in_m)
+    l_pts = set(space.line_point_indices(lrows))
+    meeting = [key for key in in_m if l_pts & set(space.line_point_indices(key))]
+    if not meeting:
+        bound = q * lm + 1
+        return ExpansionReport(lm, None, None, None, bound, len(ls.lines) >= bound)
+    special = reference_full_pencil_points(ls, m)
+    alpha = sum(1 for p in space.line_point_indices(meeting[0]) if p in special)
+    bound = q * lm - alpha * q**2 + alpha * q + 1
+    return ExpansionReport(
+        lm, len(meeting) == 1, alpha, alpha <= q, bound, len(ls.lines) >= bound
+    )
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def pentagon_plus(pairs):
+    """The pentagon e0..e4 of PG(4, 2) and the lines joining the point
+    pairs, as in ``lineset_from_pairs``."""
+    space = projective_space(4, 2)
+    idx = space.point_index
+    e = [idx[unit(space, i)] for i in range(5)]
+    return lineset_from_pairs((4, 2), [(e[i], e[(i + 1) % 5]) for i in range(5)] + pairs)
+
+
+def subspace_from_points(space, picks):
+    """The whole space if ``picks`` is empty, else the span of those points."""
+    if not picks:
+        return space.whole_space()
+    return space.subspace([space.points[i % len(space.points)] for i in picks])
+
+
+class TestPentagonChecksAgainstReference:
+    @pytest.fixture(autouse=True)
+    def no_axiom_guard(self):
+        """Run the checks on sets that fail (Pt): the guard is stubbed."""
+
+        class Passed:
+            passed = True
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygon_module, "audit", lambda ls, cfg: Passed())
+            yield
+
+    def check_all(self, ls, u):
+        for key in ls.lines:
+            assert outcome(qp1_points_on_line, ls, u, key) == outcome(
+                reference_qp1_points_on_line, ls, u, key
+            )
+        assert pencil_plane_qp1_bound(ls, u) == reference_pencil_plane_qp1_bound(ls, u)
+        assert outcome(pentagon_extension_check, ls, u) == outcome(
+            reference_pentagon_extension_check, ls, u
+        )
+
+    def test_small_set(self):
+        """The set of ``test_violations_on_small_set``: violations of all
+        three kinds."""
+        space = projective_space(4, 2)
+        e = [unit(space, i) for i in range(5)]
+        x = (0, 1, 0, 0, 1)
+        pairs = [(e[i], e[(i + 1) % 5]) for i in range(5)]
+        pairs += [(e[0], x), (x, e[2]), (x, e[3])]
+        pairs += [(x, (0, 0, 0, 1, 1)), ((1, 0, 1, 0, 0), (0, 0, 0, 1, 1))]
+        self.check_all(LineSet(space, pairs), space.whole_space())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dense_seeded_sets(self, seed):
+        """24 random lines beside the pentagon: 71 to 229 pentagons and 6
+        to 13 full-pencil points in the whole space."""
+        rng = random.Random(seed)
+        ls = pentagon_plus([(rng.randrange(31), rng.randrange(31)) for _ in range(24)])
+        self.check_all(ls, ls.space.whole_space())
+        solid = subspace_from_points(ls.space, [rng.randrange(31) for _ in range(4)])
+        self.check_all(ls, solid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=4, max_size=14
+        ),
+        picks=st.lists(st.integers(0, 30), max_size=5),
+    )
+    def test_random_sets_in_pg42(self, pairs, picks):
+        ls = pentagon_plus(pairs)
+        self.check_all(ls, subspace_from_points(ls.space, picks))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=4, max_size=16
+        ),
+        picks=st.lists(st.integers(0, 30), min_size=3, max_size=4),
+    )
+    def test_expansion_bound_on_lines_meeting_a_plane_or_solid(self, pairs, picks):
+        """Every line of the set against a random plane or solid m: the lines
+        that meet m in one point get a report, the others a ValueError."""
+        ls = pentagon_plus(pairs)
+        m = subspace_from_points(ls.space, picks)
+        assume(m.projdim in (2, 3))
+        for key in ls.lines:
+            assert outcome(expansion_bound, ls, m, key) == outcome(
+                reference_expansion_bound, ls, m, key
+            )
