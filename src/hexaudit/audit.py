@@ -104,7 +104,9 @@ class AxiomConfig:
 
 
 def axiom_allowed(axiom: str, q: int):
-    """Allowed nonzero counts (set) or upper bound (int) for one axiom."""
+    """The nonzero counts one axiom allows: a set for (Pt), (Pl), (Sd), and
+    ``range(1, bound + 1)`` for (Sd'), (4d), (Hp), (Hp').  ``c in rule``
+    and ``max(rule)`` work on both shapes."""
     if axiom == "Pt":
         return {q + 1}
     if axiom == "Pl":
@@ -112,21 +114,17 @@ def axiom_allowed(axiom: str, q: int):
     if axiom == "Sd":
         return {1, q + 1, 2 * q + 1}
     if axiom == "Sd'":
-        return 2 * q + 1
+        return range(1, 2 * q + 2)
     if axiom == "4d":
-        return q**3 - q**2 + 4 * q
+        return range(1, q**3 - q**2 + 4 * q + 1)
     if axiom == "Hp":
-        return q**3 + 3 * q**2 + 3 * q
+        return range(1, q**3 + 3 * q**2 + 3 * q + 1)
     if axiom == "Hp'":
-        return q**4 - q**3 + 3 * q**2 + 2 * q
+        return range(1, q**4 - q**3 + 3 * q**2 + 2 * q + 1)
     raise ValueError(f"axiom {axiom!r} has no per-subspace count rule")
 
 
 _AXIOM_DIM = {"Pl": 2, "Sd": 3, "Sd'": 3, "4d": 4, "Hp": 5, "Hp'": 5}
-
-
-def _violates(rule, c: int) -> bool:
-    return c not in rule if isinstance(rule, set) else c > rule
 
 
 def count_rules(cfg: AxiomConfig, q: int) -> dict:
@@ -142,7 +140,7 @@ def count_rules(cfg: AxiomConfig, q: int) -> dict:
 def rejected(rules: dict, top: int) -> frozenset:
     """The counts 1..top that some rule of ``rules`` rejects."""
     return frozenset(
-        c for c in range(1, top + 1) if any(_violates(r, c) for r in rules.values())
+        c for c in range(1, top + 1) if any(c not in r for r in rules.values())
     )
 
 
@@ -509,7 +507,7 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         hist, flagged = source(d, rejected(rules, len(ls.lines)))
         report.histograms[d] = hist
         for a, rule in rules.items():
-            hits = [rows for rows, c in flagged if _violates(rule, c)]
+            hits = [rows for rows, c in flagged if c not in rule]
             report.verdicts[a] = not hits
             report.witnesses[a] = min(hits) if hits else None
     if "To" in cfg.names:

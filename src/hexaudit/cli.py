@@ -8,7 +8,6 @@ declared seeds; reports embed the tool version and an input digest.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from . import __version__
 from .audit import AxiomConfig, audit
 from .errors import InternalConsistencyError
 from .formats import dump_lineset, dumps_report, load_lineset, report_document
-from .gf import is_prime_power
+from .gf import MAX_Q, is_prime_power
 from .hexagon import SUPPORTED_Q, build
 from .pg import projective_space
 from .polygon import find_kgon, girth_and_diameter
@@ -38,20 +37,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _open_out(path: str):
-    """Open an output ("-" is stdout) early, keeping its bytes until ``_write``."""
-    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "a")
-
-
-def _write(out, text: str) -> None:
-    """Replace the contents of an output opened by ``_open_out``."""
-    if out is not sys.stdout:
-        out.truncate(0)
-    out.write(text)
-
-
 def _check_writable(path: str) -> None:
-    """Raise the OSError that writing ``path`` would raise, leaving no new file."""
+    """Raise the OSError that writing ``path`` ("-": stdout) would raise, leaving no new file."""
+    if path == "-":
+        return
     try:
         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
         os.unlink(path)
@@ -59,18 +48,27 @@ def _check_writable(path: str) -> None:
         os.close(os.open(path, os.O_WRONLY))
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write a whole output checked by ``_check_writable`` ("-" is stdout)."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()  # lines printed before the output stay before it
+        Path(path).write_text(text)
+
+
 def cmd_build(args) -> int:
     if args.q not in SUPPORTED_Q:
         print(
             f"error: unsupported q={args.q}"
-            + ("" if is_prime_power(args.q) else " (not a prime power)")
+            + ("" if args.q > MAX_Q or is_prime_power(args.q) else " (not a prime power)")
             + f"; supported: {', '.join(map(str, SUPPORTED_Q))}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    with _open_out(args.out) as out:
-        ls = build(args.q)
-        _write(out, dump_lineset(ls))
+    _check_writable(args.out)
+    ls = build(args.q)
+    _write_out(args.out, dump_lineset(ls))
     print(f"H({args.q}): {len(ls)} lines, {len(ls.point_lines)} points")
     return EXIT_OK
 
@@ -93,10 +91,10 @@ def cmd_audit(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with _open_out(args.out) as out:
-        rep = audit(ls, cfg)
-        doc = report_document("audit", rep.to_dict(), source_text=text)
-        _write(out, dumps_report(doc))
+    _check_writable(args.out)
+    rep = audit(ls, cfg)
+    doc = report_document("audit", rep.to_dict(), source_text=text)
+    _write_out(args.out, dumps_report(doc))
     for a in rep.axioms:
         status = "pass" if rep.verdicts[a] else "FAIL"
         print(f"{a}: {status}")
@@ -131,20 +129,20 @@ def cmd_classify4(args) -> int:
     if args.q not in (2, 3):
         print("error: classify4 supports q in {2, 3}", file=sys.stderr)
         return EXIT_USAGE
-    with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
-        quad = parabolic_quadric(args.q)
-        space = projective_space(6, args.q)
-        hist: dict[str, int] = {}
-        for sub in space.enumerate_subspaces(4):
-            kind, _ = quad.classify_section(sub)
-            hist[kind.value] = hist.get(kind.value, 0) + 1
-        for kind in sorted(hist):
-            print(f"{kind}: {hist[kind]}")
-        total = sum(hist.values())
-        print(f"total: {total}")
-        if out:
-            doc = report_document("classify4", {"q": args.q, "histogram": dict(sorted(hist.items()))})
-            _write(out, dumps_report(doc))
+    if args.out:
+        _check_writable(args.out)
+    quad = parabolic_quadric(args.q)
+    space = projective_space(6, args.q)
+    hist: dict[str, int] = {}
+    for sub in space.enumerate_subspaces(4):
+        kind, _ = quad.classify_section(sub)
+        hist[kind.value] = hist.get(kind.value, 0) + 1
+    for kind in sorted(hist):
+        print(f"{kind}: {hist[kind]}")
+    print(f"total: {sum(hist.values())}")
+    if args.out:
+        doc = report_document("classify4", {"q": args.q, "histogram": dict(sorted(hist.items()))})
+        _write_out(args.out, dumps_report(doc))
     return EXIT_OK
 
 
@@ -155,8 +153,11 @@ def cmd_srg(args) -> int:
         return EXIT_USAGE
     params = pencil_graph_params(q)
     feasible = q_feasible(q)
-    ev = eigenvalues(params)
-    ev_disp = eigenvalues_displayed_sign(params)
+    try:
+        ev, ev_disp = eigenvalues(params), eigenvalues_displayed_sign(params)
+    except OverflowError:
+        print("error: q is too large: its eigenvalues overflow a float", file=sys.stderr)
+        return EXIT_USAGE
     print(f"parameters: (v, k, lambda, mu) = ({params.v}, {params.k}, {params.lam}, {params.mu})")
     print(f"eigenvalues (standard sign): {ev[0]:g}, {ev[1]:g}")
     print(f"eigenvalues (displayed sign): {ev_disp[0]:g}, {ev_disp[1]:g}")
@@ -177,11 +178,11 @@ def cmd_search(args) -> int:
         return EXIT_USAGE
     prefix = args.out_prefix or "search"
     _check_writable(prefix + ".lines")
-    with _open_out(prefix + ".log") as log:
-        result = run_search(spec)
-        _write(log, result.log)
+    _check_writable(prefix + ".log")
+    result = run_search(spec)
+    _write_out(prefix + ".log", result.log)
     if result.found is not None:
-        Path(prefix + ".lines").write_text(dump_lineset(result.found))
+        _write_out(prefix + ".lines", dump_lineset(result.found))
         print(f"found: {len(result.found)} lines -> {prefix}.lines")
     else:
         print("none")

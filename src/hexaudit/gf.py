@@ -60,9 +60,9 @@ class GF:
     """The finite field GF(q) with precomputed operation tables, q <= 16."""
 
     def __init__(self, q: int):
-        p, e = factor_prime_power(q)
-        if q > MAX_Q:
+        if q > MAX_Q:  # before factoring: trial division of a large prime runs for minutes
             raise ValueError(f"GF({q}) not supported, need q <= {MAX_Q}")
+        p, e = factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e

@@ -18,8 +18,6 @@ class LineSet:
         self.space = space
         keys = set()
         for rows in lines:
-            if isinstance(rows, Subspace):
-                rows = rows.rows
             if not canonical:
                 rows = space.rref(rows)
             if len(rows) != 2:
@@ -50,8 +48,6 @@ class LineSet:
         return len(self.lines)
 
     def __contains__(self, rows) -> bool:
-        if isinstance(rows, Subspace):
-            rows = rows.rows
         return tuple(tuple(r) for r in rows) in self._keys
 
     def degree(self, point_index: int) -> int:

@@ -173,7 +173,7 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
         lines_in_u=count,
         dim_is_4=u.projdim == 4,
         at_least_5q=count >= 5 * q,
-        at_least_cubic_bound=count >= axiom_allowed("4d", q) + 1,
+        at_least_cubic_bound=count >= max(axiom_allowed("4d", q)) + 1,
         span=u,
     )
 
@@ -330,7 +330,7 @@ def hyperplane_consequence_check(ls: LineSet) -> HyperplaneConsequenceReport:
     more lines than the (Hp') bound allows; also the whole set must span at
     most a 6-space.  Preconditions (Pt), (Pl), (Sd), (To) are the caller's.
     """
-    bound = axiom_allowed("Hp'", ls.q) + 1
+    bound = max(axiom_allowed("Hp'", ls.q)) + 1
     sdim_ok = ls.span_dim() <= 6
     gon = find_kgon(ls, 5)
     if gon is None:

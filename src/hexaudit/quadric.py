@@ -71,17 +71,8 @@ class ParabolicQuadric:
 
     def line_is_isotropic(self, rows) -> bool:
         """True iff all q+1 points of the line lie on the quadric."""
-        x, y = rows
-        if self.form(x) or self.form(y):
-            return False
-        gf = self.gf
-        add, mul = gf.add_table, gf.mul_table
-        for c in range(1, gf.q):
-            mt = mul[c]
-            v = tuple(add[a][mt[b]] for a, b in zip(x, y))
-            if self.form(v):
-                return False
-        return True
+        pts = self.space.points
+        return not any(self.form(pts[i]) for i in self.space.line_point_indices(rows))
 
     def isotropic_lines(self) -> tuple:
         """Canonical bases of all totally isotropic lines, sorted (cached).

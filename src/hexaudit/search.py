@@ -96,10 +96,7 @@ class _State:
         q = space.q
         rules = {0: {"Pt": axiom_allowed("Pt", q)}, **count_rules(axioms, q)}
         rules = {d: rs for d, rs in rules.items() if d <= space.n}
-        self.caps = {
-            d: min(max(r) if isinstance(r, set) else r for r in rs.values())
-            for d, rs in rules.items()
-        }
+        self.caps = {d: min(map(max, rs.values())) for d, rs in rules.items()}
         self._rejected = {d: rejected(rs, self.caps[d]) for d, rs in rules.items()}
         self.counts: dict[int, dict] = {d: {} for d in rules}
         self.degree = self.counts[0]

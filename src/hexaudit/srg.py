@@ -51,14 +51,11 @@ def eigenvalues(p: SrgParams) -> tuple[float, float]:
 
 
 def eigenvalues_displayed_sign(p: SrgParams) -> tuple[float, float]:
-    """The same expression with (mu - lam) in place of (lam - mu).
-
-    For non-symmetric discriminants this is the negated pair; both
-    conventions yield the same integrality verdict.
-    """
-    d = p.mu - p.lam
-    disc = math.sqrt(d * d + 4 * (p.k - p.mu))
-    return (d + disc) / 2, (d - disc) / 2
+    """The same expression with (mu - lam) in place of (lam - mu): the pair
+    (-s, -r) of :func:`eigenvalues`, bit for bit, as IEEE subtraction is
+    antisymmetric.  Both conventions yield the same integrality verdict."""
+    r, s = eigenvalues(p)
+    return -s, -r
 
 
 def is_conference(p: SrgParams) -> bool:

@@ -20,7 +20,6 @@ from hexaudit.audit import (
     _orthogonal,
     _sliced_counts,
     _value_masks,
-    _violates,
     audit,
     axiom_allowed,
     count_rules,
@@ -115,10 +114,10 @@ class TestAllowedCounts:
         assert axiom_allowed("Pt", q) == {4}
         assert axiom_allowed("Pl", q) == {1, 4}
         assert axiom_allowed("Sd", q) == {1, 4, 7}
-        assert axiom_allowed("Sd'", q) == 7
-        assert axiom_allowed("4d", q) == 27 - 9 + 12
-        assert axiom_allowed("Hp", q) == 27 + 27 + 9
-        assert axiom_allowed("Hp'", q) == 81 - 27 + 27 + 6
+        assert axiom_allowed("Sd'", q) == range(1, 7 + 1)
+        assert axiom_allowed("4d", q) == range(1, 27 - 9 + 12 + 1)
+        assert axiom_allowed("Hp", q) == range(1, 27 + 27 + 9 + 1)
+        assert axiom_allowed("Hp'", q) == range(1, 81 - 27 + 27 + 6 + 1)
         with pytest.raises(ValueError):
             axiom_allowed("To", q)
 
@@ -126,16 +125,16 @@ class TestAllowedCounts:
     def test_every_subspace_rule_admits_one(self, q):
         """The dual kernel derives count 1 and never flags it."""
         for axiom in _AXIOM_DIM:
-            assert not _violates(axiom_allowed(axiom, q), 1), axiom
+            assert 1 in axiom_allowed(axiom, q), axiom
 
 
     def test_count_rules_by_dimension(self):
         q = 2
         assert count_rules(AxiomConfig.all(), q) == {
             2: {"Pl": {1, 3}},
-            3: {"Sd": {1, 3, 5}, "Sd'": 5},
-            4: {"4d": 12},
-            5: {"Hp": 26, "Hp'": 24},
+            3: {"Sd": {1, 3, 5}, "Sd'": range(1, 6)},
+            4: {"4d": range(1, 13)},
+            5: {"Hp": range(1, 27), "Hp'": range(1, 25)},
         }
         assert count_rules(AxiomConfig.from_names(["Pt", "To", "6d"]), q) == {}
         rules = count_rules(AxiomConfig.from_names(["Sd", "Sd'"]), q)[3]
@@ -652,3 +651,28 @@ class TestControls:
         assert failed(rep) == {"Pt", "Pl", "Sd"}
         (point,) = rep.witnesses["Pt"]
         assert swap.degree(swap.space.point_index[point]) != q + 1
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_hexagon_embedded_in_a_larger_space(self, n):
+        """H(2) zero-padded into PG(n, 2) and moved by a collineation keeps
+        its verdicts.  Its span S is a PG(6, 2), and a d-space U sees the
+        lines of U ∩ S; the d-spaces that meet S in a given e-space number
+        2^((d-e)(6-e)) [n-6, d-e]_2, so each histogram is a sum over e."""
+        q, h = 2, build_cached(2)
+        pad = (0,) * (n - 6)
+        padded = LineSet(
+            projective_space(n, q), [tuple(r + pad for r in key) for key in h.lines]
+        )
+        image = collineation_image(padded, seed=n)
+        cfg = AxiomConfig.all()
+        rep, base = audit(image, cfg), audit(h, cfg)
+        assert rep.span_dim == 6
+        assert rep.verdicts == base.verdicts
+        in_span = {**base.histograms, 1: {1: len(h)}, 6: {len(h): 1}}
+        for d in range(2, 6):
+            want: dict = {}
+            for e in range(1, d + 1):
+                ways = q ** ((d - e) * (6 - e)) * gaussian_binomial(n - 6, d - e, q)
+                for c, m in in_span[e].items():
+                    want[c] = want.get(c, 0) + ways * m
+            assert rep.histograms[d] == want, d

@@ -11,11 +11,13 @@ from hexaudit.formats import load_lineset
 
 
 def run_cli(*args, cwd=None):
+    """Run the CLI in a fresh interpreter; a run that hangs fails the test."""
     return subprocess.run(
         [sys.executable, "-m", "hexaudit", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=30,
     )
 
 
@@ -36,28 +38,89 @@ def must_not_compute(monkeypatch, name):
 
 @pytest.mark.parametrize("command", ["build", "audit", "classify4", "search"])
 def test_failed_work_keeps_the_old_output(tmp_path, monkeypatch, command):
-    """The output is opened before the work but emptied only when the new
-    contents are written, so a run that raises leaves the old file intact."""
+    """The output is checked before the work and written once after it, so
+    a run that raises leaves an old file byte for byte and creates none."""
     h2, spec = tmp_path / "h2.pgls", tmp_path / "spec.json"
     main(["build", "--q", "2", "--out", str(h2)])
     spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Pt"], "budget": 5}))
-    out = tmp_path / "old.out"
+    old = tmp_path / "old.out"
     argv, compute, written = {
-        "build": (["build", "--q", "2", "--out", str(out)], "build", out),
-        "audit": (["audit", "--in", str(h2), "--out", str(out)], "audit", out),
-        "classify4": (["classify4", "--q", "2", "--out", str(out)], "parabolic_quadric", out),
-        "search": (["search", "--spec", str(spec), "--out-prefix", str(out)],
+        "build": (["build", "--q", "2", "--out"], "build", old),
+        "audit": (["audit", "--in", str(h2), "--out"], "audit", old),
+        "classify4": (["classify4", "--q", "2", "--out"], "parabolic_quadric", old),
+        "search": (["search", "--spec", str(spec), "--out-prefix"],
                    "run_search", tmp_path / "old.out.log"),
     }[command]
     written.write_bytes(b"old bytes\n")
+    before = sorted(tmp_path.iterdir())
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, compute, interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        main(argv)
+    for out in (old, tmp_path / "fresh.out"):
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, str(out)])
     assert written.read_bytes() == b"old bytes\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--q", "2"],
+        ["audit", "--in", "h2.pgls"],
+        ["classify4", "--q", "2"],
+    ],
+    ids=["build", "audit", "classify4"],
+)
+def test_out_to_dev_null(tmp_path, monkeypatch, argv):
+    """An output that cannot be truncated or read back still takes the
+    whole text in one write."""
+    monkeypatch.chdir(tmp_path)
+    main(["build", "--q", "2", "--out", "h2.pgls"])
+    assert main([*argv, "--out", "/dev/null"]) == 0
+
+
+def test_out_to_dev_stdout_matches_dash(tmp_path):
+    """Into a pipe, ``--out /dev/stdout`` prints the bytes of ``--out -``."""
+    h2 = tmp_path / "h2.pgls"
+    main(["build", "--q", "2", "--out", str(h2)])
+    dash, dev = (run_cli("audit", "--in", str(h2), "--out", out) for out in ("-", "/dev/stdout"))
+    assert dash.returncode == dev.returncode == 0
+    assert dev.stdout == dash.stdout and dev.stderr == ""
+    assert dash.stdout.startswith("{")
+
+
+class TestLargeQ:
+    """A q above the field limit is refused before it is factored: trial
+    division of a large prime would run for minutes."""
+
+    def test_audit(self, tmp_path):
+        path = tmp_path / "big.pgls"
+        path.write_text(f"PGLS 1\nn 3\nq {2**61 - 1}\n1 0 0 0, 0 1 0 0\n")
+        r = run_cli("audit", "--in", str(path))
+        assert r.returncode == 2
+        assert_one_error_line(r.stderr, "not supported")
+
+    def test_search(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 3, "q": 2**61 - 1, "axioms": ["Pt"], "budget": 5}))
+        r = run_cli("search", "--spec", str(spec), "--out-prefix", str(tmp_path / "run"))
+        assert r.returncode == 2
+        assert_one_error_line(r.stderr, "not supported")
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_build(self):
+        r = run_cli("build", "--q", str(10**18 + 3))
+        assert r.returncode == 2 and r.stdout == ""
+        assert_one_error_line(r.stderr, "unsupported q=")
+        assert "prime power" not in r.stderr
+
+    def test_srg(self):
+        r = run_cli("srg", "--q", str(10**400))
+        assert r.returncode == 2 and r.stdout == ""
+        assert_one_error_line(r.stderr, "too large")
 
 
 @pytest.fixture()
