@@ -106,12 +106,8 @@ def cmd_audit(args) -> int:
 def cmd_polygon(args) -> int:
     try:
         ls, _ = _load_nonempty(args.infile)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         gon = find_kgon(ls, args.k)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if gon is None:
@@ -237,7 +233,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early: the output is cut, so no pass, but no usage
+        # error either.  Quiet the flush at exit, as the signal docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VIOLATION
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -33,9 +33,12 @@ class KGon:
 
 def _kgons(ls: LineSet, k: int):
     """Every k-gon, in canonical order: the smallest vertex starts, then
-    neighbours ascending.  Each point's neighbours are (w, line id) pairs
-    sorted by w; a breadth-first distance bound prunes paths that cannot
-    close within the remaining steps."""
+    neighbours ascending, so vertex tuples come lexicographically.  Each
+    point's neighbours are (w, line id) pairs sorted by w; a breadth-first
+    distance bound prunes paths that cannot close within the remaining
+    steps."""
+    if not 2 <= k <= 6:
+        raise ValueError(f"k must be in [2, 6], got {k}")
     nbrs = {
         p: sorted((w, li) for li in lines for w in ls.line_points[li] if w != p)
         for p, lines in ls.point_lines.items()
@@ -74,22 +77,14 @@ def _kgons(ls: LineSet, k: int):
 
 def find_kgon(ls: LineSet, k: int) -> KGon | None:
     """The first k-gon of the line set in canonical order, or None."""
-    if not 2 <= k <= 6:
-        raise ValueError(f"k must be in [2, 6], got {k}")
     return next(_kgons(ls, k), None)
 
 
 def all_kgons(ls: LineSet, k: int) -> list[KGon]:
-    """Every k-gon, as directed started tuples, deduplicated up to symmetry."""
-    if not 2 <= k <= 6:
-        raise ValueError(f"k must be in [2, 6], got {k}")
-    seen = {}
-    for gon in _kgons(ls, k):
-        vs = gon.vertices
-        rotations = [vs[i:] + vs[:i] for i in range(len(vs))]
-        rotations += [tuple(reversed(r)) for r in rotations]
-        seen.setdefault(min(rotations), gon)
-    return [seen[key] for key in sorted(seen)]
+    """Every k-gon up to symmetry: the walk meets each cycle once per
+    direction from its smallest vertex, and the one kept has its second
+    vertex below its last.  Two lines share one point at most: no 2-gon."""
+    return [g for g in _kgons(ls, k) if g.vertices[1] < g.vertices[-1]]
 
 
 def is_kgon_of(ls: LineSet, gon: KGon) -> bool:

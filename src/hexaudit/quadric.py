@@ -77,36 +77,14 @@ class ParabolicQuadric:
     def isotropic_lines(self) -> tuple:
         """Canonical bases of all totally isotropic lines, sorted (cached).
 
-        Built from pairs of quadric points rather than by filtering the
-        full line enumeration; for q = 4 the latter is 15x larger.  Since
+        The definition, kept as the referee for ``build``: since
         Q(x + cy) = Q(x) + c^2 Q(y) + c b(x, y), two quadric points span
-        an isotropic line if and only if b(x, y) = 0.  b(x, .) is linear:
-        its coefficients are ``polar(x)``.  A pair whose points already
-        share a found line is skipped, so each line reaches ``rref`` once.
+        an isotropic line if and only if b(x, y) = 0.
         """
         if self._iso_lines is None:
-            pts = self.points()
-            space = self.space
-            position = {space.point_index[p]: j for j, p in enumerate(pts)}
-            add, mul = self.gf.add_table, self.gf.mul_table
-            lines = []
-            # shared[j]: bitmask of the positions of pts on found lines via pts[j]
-            shared = [0] * len(pts)
-            for i, x in enumerate(pts):
-                # b(x, y) is the sum over k of m_k[y_k].
-                m0, m1, m2, m3, m4, m5, m6 = (mul[c] for c in self.polar(x))
-                for j, y in enumerate(pts[i + 1:], i + 1):
-                    if shared[i] >> j & 1 or add[
-                        add[add[m0[y[0]]][m1[y[1]]]][add[m2[y[2]]][m3[y[3]]]]
-                    ][add[add[m4[y[4]]][m5[y[5]]]][m6[y[6]]]]:
-                        continue
-                    key = space.rref((x, y))
-                    lines.append(key)
-                    on = [position[p] for p in space.line_point_indices(key)]
-                    line_bits = sum(1 << p for p in on)
-                    for p in on:
-                        shared[p] |= line_bits
-            self._iso_lines = tuple(sorted(lines))
+            pts, rref = self.points(), self.space.rref
+            pairs = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
+            self._iso_lines = tuple(sorted({rref(p) for p in pairs if self.bilinear(*p) == 0}))
         return self._iso_lines
 
     def section_points(self, u: Subspace) -> list[tuple[int, ...]]:

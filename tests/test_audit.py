@@ -30,7 +30,7 @@ from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset, dumps_report, report_document
 from hexaudit.hexagon import build, build_cached
 from hexaudit.lineset import LineSet
-from hexaudit.pg import gaussian_binomial, projective_space
+from hexaudit.pg import Subspace, gaussian_binomial, projective_space
 from hexaudit.polygon import (
     expansion_bound,
     girth_and_diameter,
@@ -676,3 +676,35 @@ class TestControls:
                 for c, m in in_span[e].items():
                     want[c] = want.get(c, 0) + ways * m
             assert rep.histograms[d] == want, d
+
+
+class TestPointAxiomReferee:
+    """(Pt) against degrees counted from each line's own basis: ``audit`` and
+    ``naive_audit`` both take (Pt) from ``LineSet.point_lines``, so comparing
+    them checks (Pt) against itself."""
+
+    @staticmethod
+    def check(ls):
+        lines = [Subspace(ls.space, key, canonical=True) for key in ls.lines]
+        degrees = [sum(line.contains_vec(p) for line in lines) for p in ls.space.points]
+        hist: dict[int, int] = {}
+        for c in filter(None, degrees):
+            hist[c] = hist.get(c, 0) + 1
+        bad = [i for i, c in enumerate(degrees) if c and c != ls.q + 1]
+        rep = audit(ls, AxiomConfig.from_names(["Pt"]))
+        assert rep.histograms == {0: hist}
+        assert rep.verdicts == {"Pt": not bad}
+        assert rep.witnesses == {"Pt": (ls.space.points[bad[0]],) if bad else None}
+
+    def test_h2(self, h2):
+        self.check(h2)
+
+    def test_one_line_swap(self, h2):
+        extra = next(r for r in parabolic_quadric(2).isotropic_lines() if r not in h2)
+        swap = LineSet(h2.space, h2.lines[1:] + (extra,), canonical=True)
+        self.check(swap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(space_key=st.sampled_from([(3, 2), (4, 2), (4, 3)]), pairs=RANDOM_PAIRS)
+    def test_random_sets(self, space_key, pairs):
+        self.check(lineset_from_pairs(space_key, pairs))

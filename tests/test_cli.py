@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -90,6 +91,44 @@ def test_out_to_dev_stdout_matches_dash(tmp_path):
     assert dash.returncode == dev.returncode == 0
     assert dev.stdout == dash.stdout and dev.stderr == ""
     assert dash.stdout.startswith("{")
+
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--q", "2", "--out", "-"],
+        ["audit", "--in", "{h2}", "--out", "-"],
+        ["audit", "--in", "{h2}", "--out", "/dev/stdout"],
+        ["polygon", "--in", "{h2}", "--k", "6", "--graph"],
+        ["classify4", "--q", "2"],
+        ["srg", "--q", "2"],
+    ],
+    ids=["build", "audit", "audit-dev-stdout", "polygon", "classify4", "srg"],
+)
+def test_closed_stdout_exits_1_quietly(tmp_path, argv, unbuffered):
+    """A reader that closed the pipe cuts the output: exit 1, not the usage
+    code 2, and nothing on stderr, with or without output buffering."""
+    h2 = tmp_path / "h2.pgls"
+    main(["build", "--q", "2", "--out", str(h2)])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "hexaudit", *(a.format(h2=h2) for a in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (1, "")
 
 
 class TestLargeQ:

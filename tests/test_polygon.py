@@ -129,6 +129,10 @@ class TestFindKGon:
             find_kgon(h2, 1)
         with pytest.raises(ValueError):
             find_kgon(h2, 7)
+        with pytest.raises(ValueError):
+            all_kgons(h2, 1)
+        with pytest.raises(ValueError):
+            all_kgons(h2, 7)
 
 
 class TestAllKGons:
