@@ -38,14 +38,16 @@ Two slower count sources are kept as referees and must give identical
 reports: closure enumeration (every d-subspace through every line,
 hashed, in ``_closure_counts``) and the naive full enumeration of all
 d-subspaces (``naive_audit``).
+Every histogram, from any source, must pass two pair-count identities
+(``_check_pair_counts``) that do not depend on the source.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .lineset import LineSet
@@ -61,19 +63,28 @@ _ALIASES = {
 }
 
 
-@dataclass(frozen=True)
 class AxiomConfig:
     """Which intersection-number axioms the audit should check: a set of
     canonical names from ``AXIOM_ORDER``."""
 
-    names: frozenset = frozenset()
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: frozenset = frozenset()):
+        if not names:
             raise ValueError("at least one axiom flag must be set")
-        unknown = self.names - set(AXIOM_ORDER)
+        unknown = names - set(AXIOM_ORDER)
         if unknown:
             raise ValueError(f"unknown axiom name: {min(unknown)!r}")
+        self.names = names
+
+    def __eq__(self, other):
+        return self.names == other.names if type(other) is AxiomConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self):
+        return f"AxiomConfig(names={self.names!r})"
 
     @classmethod
     def all(cls) -> "AxiomConfig":
@@ -144,17 +155,16 @@ def rejected(rules: dict, top: int) -> frozenset:
     )
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     n: int
     q: int
     num_lines: int
     num_points: int
     span_dim: int
     axioms: tuple[str, ...]
-    verdicts: dict = dc_field(default_factory=dict)
-    witnesses: dict = dc_field(default_factory=dict)
-    histograms: dict = dc_field(default_factory=dict)
+    verdicts: dict
+    witnesses: dict
+    histograms: dict
     dedup_scheme: str = DEDUP_SCHEME
 
     @property
@@ -472,8 +482,24 @@ def default_threads() -> int:
     return 1
 
 
+def _check_pair_counts(ls: LineSet, d: int, hist: dict, meeting: int) -> None:
+    """Raise unless the histogram at d >= 2 agrees with the lines: each line
+    lies in [n-1, d-1]_q d-subspaces, and each pair of lines spans a plane,
+    in [n-2, d-2]_q of them, if it is one of the ``meeting`` pairs, else a
+    solid, in [n-3, d-3]_q."""
+    n, q, nl = ls.n, ls.q, len(ls.lines)
+    if sum(c * m for c, m in hist.items()) != nl * gaussian_binomial(n - 1, d - 1, q):
+        raise InternalConsistencyError(f"d = {d}: histogram fails the line-incidence identity")
+    pairs = meeting * gaussian_binomial(n - 2, d - 2, q) + (
+        nl * (nl - 1) // 2 - meeting
+    ) * gaussian_binomial(n - 3, d - 3, q)
+    if sum(c * (c - 1) // 2 * m for c, m in hist.items()) != pairs:
+        raise InternalConsistencyError(f"d = {d}: histogram fails the line-pair identity")
+
+
 def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
-    """Audit the enabled axioms, taking per-dimension counts from ``source``."""
+    """Audit the enabled axioms, taking per-dimension counts from ``source``
+    and checking each histogram against ``_check_pair_counts``."""
     if not ls.lines:
         raise ValueError("cannot audit an empty line set")
     q = ls.q
@@ -484,7 +510,13 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         num_points=len(ls.point_lines),
         span_dim=ls.span_dim(),
         axioms=cfg.enabled(),
+        verdicts={},
+        witnesses={},
+        histograms={},
     )
+    # Two lines share one point at most, so the pairs that meet are counted
+    # once, at their common point.
+    meeting = sum(len(ids) * (len(ids) - 1) // 2 for ids in ls.point_lines.values())
     if "Pt" in cfg.names:
         hist: dict[int, int] = {}
         for line_ids in ls.point_lines.values():
@@ -505,6 +537,7 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
                 report.witnesses[a] = None
             continue
         hist, flagged = source(d, rejected(rules, len(ls.lines)))
+        _check_pair_counts(ls, d, hist, meeting)
         report.histograms[d] = hist
         for a, rule in rules.items():
             hits = [rows for rows, c in flagged if c not in rule]

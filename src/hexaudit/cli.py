@@ -231,8 +231,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        try:
+            args = make_parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help and --version print, then exit here
+            raise
         code = args.func(args)
         sys.stdout.flush()
         return code

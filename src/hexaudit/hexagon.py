@@ -18,8 +18,8 @@ broken sign convention and aborts construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cache
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .lineset import LineSet
@@ -109,13 +109,12 @@ def build_cached(q: int) -> LineSet:
     return build(q)
 
 
-@dataclass
-class FlatFullReport:
+class FlatFullReport(NamedTuple):
     flat: bool
     full: bool
     order: tuple[int, int] | None
-    non_planar_pencils: list = dc_field(default_factory=list)
-    degree_histogram: dict = dc_field(default_factory=dict)
+    non_planar_pencils: list
+    degree_histogram: dict
 
     @property
     def ok(self) -> bool:

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .audit import AxiomConfig, audit, axiom_allowed
 from .lineset import LineSet
 from .pg import Subspace
 
 
-@dataclass(frozen=True)
-class KGon:
+class KGon(NamedTuple):
     """Vertices in cyclic order plus the edge line ids (edge i = v_i v_{i+1})."""
 
     vertices: tuple[int, ...]
@@ -138,8 +137,7 @@ def girth_and_diameter(ls: LineSet):
         diameter = k
 
 
-@dataclass
-class PentagonSpanReport:
+class PentagonSpanReport(NamedTuple):
     dim_u: int
     lines_in_u: int
     dim_is_4: bool
@@ -208,8 +206,7 @@ def pencil_plane_qp1_bound(ls: LineSet, m: Subspace):
     return all(c <= ls.q + 2 for c in counts.values()), counts
 
 
-@dataclass
-class PentagonExtensionReport:
+class PentagonExtensionReport(NamedTuple):
     num_pentagons: int
     num_special_points: int
     violations_a: list
@@ -268,8 +265,7 @@ def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionRepor
     )
 
 
-@dataclass
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     lines_in_m: int
     meets_unique_s: bool | None
     alpha: int | None
@@ -305,8 +301,7 @@ def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
     return ExpansionReport(lm, len(meeting) == 1, alpha, alpha <= q, bound, len(ls.lines) >= bound)
 
 
-@dataclass
-class HyperplaneConsequenceReport:
+class HyperplaneConsequenceReport(NamedTuple):
     vacuous: bool
     bound: int
     best_count: int | None

@@ -20,7 +20,7 @@ name, seed and spec.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .audit import AxiomConfig, audit, axiom_allowed, count_rules, rejected
 from .lineset import LineSet
@@ -33,25 +33,36 @@ TARGETS = ("pentagon", "span-lt-6", "any")
 GENERATOR_NAME = "python-random-mt19937"
 
 
-@dataclass(frozen=True)
 class SearchSpec:
-    n: int
-    q: int
-    axioms: AxiomConfig
-    mode: str = "randomized-greedy"
-    seed: int = 0
-    budget: int = 1000
-    target: str = "pentagon"
+    """A search run's space, axioms, mode, seed, budget and target;
+    ``__slots__`` lists the fields in spec order."""
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2 for pencil moves, got {self.n}")
-        if self.mode not in MODES:
+    __slots__ = ("n", "q", "axioms", "mode", "seed", "budget", "target")
+
+    def __init__(self, n: int, q: int, axioms: AxiomConfig, mode: str = "randomized-greedy",
+                 seed: int = 0, budget: int = 1000, target: str = "pentagon"):
+        if n < 2:
+            raise ValueError(f"n must be at least 2 for pencil moves, got {n}")
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.target not in TARGETS:
+        if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}")
-        if self.budget <= 0:
+        if budget <= 0:
             raise ValueError("budget must be positive")
+        self.n, self.q, self.axioms, self.mode = n, q, axioms, mode
+        self.seed, self.budget, self.target = seed, budget, target
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is SearchSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"SearchSpec({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
@@ -60,9 +71,8 @@ class SearchSpec:
         strings are refused."""
         if not isinstance(d, dict):
             raise ValueError("a search spec must be a JSON object")
-        names = {f.name for f in fields(cls)}
         for key, value in d.items():
-            if key not in names:
+            if key not in cls.__slots__:
                 raise ValueError(f"unknown key {key!r}")
             if key in ("n", "q", "seed", "budget") and type(value) is not int:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -72,12 +82,11 @@ class SearchSpec:
         return cls(**{**d, "axioms": AxiomConfig.from_names(d["axioms"])})
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = dict(zip(self.__slots__, self._values()))
         return {**d, "axioms": list(self.axioms.enabled())}
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     found: LineSet | None
     log: str
     iterations: int

@@ -11,31 +11,26 @@ decisions use exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import is_prime_power
 
 
-@dataclass(frozen=True)
-class SrgParams:
-    v: int
-    k: int
-    lam: int
-    mu: int
+class SrgParams(NamedTuple("SrgParams", [("v", int), ("k", int), ("lam", int), ("mu", int)])):
+    """Parameters (v, k, lambda, mu) that pass the basic feasibility checks."""
 
-    def __post_init__(self):
-        if min(self.v, self.k, self.lam, self.mu) < 0:
+    __slots__ = ()
+
+    def __new__(cls, v: int, k: int, lam: int, mu: int):
+        if min(v, k, lam, mu) < 0:
             raise ValueError("parameters must be non-negative")
-        if self.k >= self.v:
+        if k >= v:
             raise ValueError("need k < v")
-        if self.mu > self.k:
+        if mu > k:
             raise ValueError("need mu <= k")
-        if self.mu > 0 and self.k * (self.k - self.lam - 1) != (
-            self.v - self.k - 1
-        ) * self.mu:
-            raise ValueError(
-                "parameter identity k(k-lam-1) = (v-k-1)mu violated"
-            )
+        if mu > 0 and k * (k - lam - 1) != (v - k - 1) * mu:
+            raise ValueError("parameter identity k(k-lam-1) = (v-k-1)mu violated")
+        return super().__new__(cls, v, k, lam, mu)
 
 
 def eigenvalues(p: SrgParams) -> tuple[float, float]:

@@ -99,6 +99,17 @@ class TestAxiomConfig:
         with pytest.raises(ValueError):
             AxiomConfig()
 
+    def test_empty_config_message(self):
+        with pytest.raises(ValueError, match="^at least one axiom flag must be set$"):
+            AxiomConfig()
+
+    def test_value_semantics(self):
+        """Equal configs compare and hash equal, so they work as dict keys."""
+        a, b = AxiomConfig.from_names(["Pl", "pt"]), AxiomConfig(frozenset({"Pt", "Pl"}))
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != AxiomConfig.all() and a != a.names
+        assert repr(a) == f"AxiomConfig(names={a.names!r})"
+
     def test_presets(self):
         assert AxiomConfig.all().enabled() == (
             "Pt", "Pl", "Sd", "Sd'", "4d", "Hp", "Hp'", "To", "6d",
@@ -454,6 +465,34 @@ class TestDualKernel:
         monkeypatch.setattr(audit_module, "gaussian_binomial", lambda n, k, q: 0)
         with pytest.raises(InternalConsistencyError, match="d = 2"):
             audit(h2, AxiomConfig.from_names(["Pl"]))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # Lose one subspace of count c; its c lines become count-1 subspaces.
+            lambda h, c: {**h, c: h[c] - 1, 1: h.get(1, 0) + c},
+            # Count one subspace of count c as c+1, and one count-1 subspace less.
+            lambda h, c: {**h, c: h[c] - 1, c + 1: h.get(c + 1, 0) + 1, 1: h[1] - 1},
+        ],
+        ids=["drop", "raise"],
+    )
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pair_count_identity_catches_a_wrong_count(self, h2, corrupt, d):
+        """A count source that keeps the line incidences but gets one
+        subspace of two or more lines wrong breaks the pair identity."""
+        kernel = _DualCounts(h2)
+
+        def source(dim, bad):
+            hist, flagged = kernel(dim, bad)
+            if dim == d:
+                wrong = corrupt(hist, min(c for c in hist if c >= 2))
+                assert sum(c * m for c, m in wrong.items()) == sum(c * m for c, m in hist.items())
+                hist = wrong
+            return hist, flagged
+
+        message = f"d = {d}: histogram fails the line-pair identity"
+        with pytest.raises(InternalConsistencyError, match=message):
+            _audit(h2, AxiomConfig.all(), source)
 
     @staticmethod
     def check_random_set(space_key, pairs):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,44 @@ def test_closed_stdout_exits_1_quietly(tmp_path, argv, unbuffered):
     finally:
         os.close(write_end)
     assert (r.returncode, r.stderr) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--help"], ["build", "--help"]], ids=["version", "help", "build-help"]
+)
+def test_closed_stdout_after_argparse_exits_1_quietly(argv):
+    """What argparse prints itself before it exits also meets the closed
+    pipe in the flush: exit 1 and nothing on stderr.  Unbuffered, argparse
+    drops the write error and exits 0, so this runs buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "hexaudit", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (1, "")
+
+
+def test_import_loads_no_code_generators():
+    """Importing the CLI loads neither ``dataclasses`` nor what it imports
+    to generate code, on a bare interpreter with no site hooks."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hexaudit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
 
 
 class TestLargeQ:

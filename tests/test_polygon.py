@@ -145,6 +145,15 @@ class TestAllKGons:
         assert all_kgons(pentagon_ls, 3) == []
 
 
+class TestKGonRecord:
+    def test_compares_by_value(self):
+        gon = KGon((0, 1, 2), (3, 4, 5))
+        assert gon == KGon((0, 1, 2), (3, 4, 5)) and gon.k == 3
+        assert hash(gon) == hash(KGon((0, 1, 2), (3, 4, 5)))
+        assert gon != KGon((0, 1, 2), (3, 5, 4))
+        assert len({gon, KGon((0, 1, 2), (3, 4, 5))}) == 1
+
+
 class TestIsKGon:
     def test_bogus_gon_rejected(self, pentagon_ls):
         assert not is_kgon_of(pentagon_ls, KGon((0, 1, 2), (0, 1, 2)))

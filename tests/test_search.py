@@ -39,6 +39,29 @@ class TestSpec:
         with pytest.raises(ValueError):
             make_spec(budget=0)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"n": 1}, "n must be at least 2 for pencil moves, got 1"),
+            ({"mode": "annealing"}, f"mode must be one of {MODES}"),
+            ({"target": "triangle"}, "target must be one of ('pentagon', 'span-lt-6', 'any')"),
+            ({"budget": -3}, "budget must be positive"),
+        ],
+        ids=["n", "mode", "target", "budget"],
+    )
+    def test_validation_messages(self, kw, message):
+        with pytest.raises(ValueError) as exc:
+            make_spec(**kw)
+        assert str(exc.value) == message
+
+    def test_value_semantics(self):
+        """Equal specs hash equal and work as dict keys; a changed field
+        makes another spec."""
+        a, b = make_spec(), SearchSpec.from_dict(make_spec().to_dict())
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != make_spec(seed=12) and a != a.to_dict()
+        assert repr(a).startswith("SearchSpec(n=4, q=2, axioms=AxiomConfig(")
+
     def test_dict_round_trip(self):
         spec = make_spec()
         again = SearchSpec.from_dict(spec.to_dict())

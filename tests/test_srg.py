@@ -46,6 +46,27 @@ class TestParams:
         with pytest.raises(ValueError):
             SrgParams(10, 3, 0, 4)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((10, 3, -1, 1), "parameters must be non-negative"),
+            ((3, 3, 0, 1), "need k < v"),
+            ((10, 3, 0, 4), "need mu <= k"),
+            ((10, 3, 0, 2), "parameter identity k(k-lam-1) = (v-k-1)mu violated"),
+        ],
+        ids=["negative", "k-v", "mu-k", "identity"],
+    )
+    def test_messages(self, params, message):
+        with pytest.raises(ValueError) as exc:
+            SrgParams(*params)
+        assert str(exc.value) == message
+
+    def test_value_semantics(self):
+        p = SrgParams(v=10, k=3, lam=0, mu=1)
+        assert p == SrgParams(10, 3, 0, 1) and hash(p) == hash(SrgParams(10, 3, 0, 1))
+        assert p != SrgParams(5, 2, 0, 1)
+        assert repr(p) == "SrgParams(v=10, k=3, lam=0, mu=1)"
+
     def test_pencil_graph_params(self):
         assert pencil_graph_params(2) == SrgParams(10, 3, 0, 1)
         assert pencil_graph_params(3) == SrgParams(17, 4, 0, 1)
