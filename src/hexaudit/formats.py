@@ -7,8 +7,15 @@ files and diffs stay readable.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+try:  # the interpreter's own SHA-256; hashlib would load OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .gf import field
@@ -66,10 +73,10 @@ def load_lineset(text: str) -> LineSet:
             raise ValueError(f"malformed body line: {ln!r}")
         rows = []
         for half in halves:
-            coords = tuple(int(c) for c in half.split())
+            coords = tuple(map(int, half.split()))
             if len(coords) != n + 1:
                 raise ValueError(f"expected {n + 1} coordinates: {half!r}")
-            if any(not 0 <= c < q for c in coords):
+            if min(coords) < 0 or max(coords) >= q:
                 raise ValueError(f"coordinate out of range in {half!r}")
             rows.append(coords)
         keys.append(tuple(rows))
@@ -78,7 +85,7 @@ def load_lineset(text: str) -> LineSet:
 
 
 def input_digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def report_document(kind: str, payload: dict, source_text: str | None = None) -> dict:

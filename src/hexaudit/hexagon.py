@@ -10,10 +10,13 @@ point x, p_ij(x, y) = x_i y_j - x_j y_i is linear in y, so the points y
 joined to x by a hexagon line, together with x, form the plane pi_x cut
 out by these six equations and the polar equation b(x, y) = 0.  The
 line set is built point by point from these planes rather than by
-filtering the isotropic lines or by orbit generation.  Every line built
-must pass the predicate above, each plane must be a plane, and the line
-and point counts must equal (q^6 - 1) / (q - 1); any failure indicates a
-broken sign convention and aborts construction.
+filtering the isotropic lines or by orbit generation.  Each point costs
+one 7x7 ``nullspace``; each line is built once, by one row operation,
+at the point that is its second canonical row, so no line is reduced or
+deduplicated again.  Every line built must pass the predicate above,
+each plane must be a plane, and the line and point counts must equal
+(q^6 - 1) / (q - 1); any failure indicates a broken sign convention and
+aborts construction.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .lineset import LineSet
-from .pg import PluckerCoords
 from .quadric import ParabolicQuadric, parabolic_quadric
 
 SUPPORTED_Q = (2, 3, 4, 5)
@@ -40,11 +42,19 @@ _LINE_CONDITIONS = (
 
 
 def hexagon_line_predicate(quad: ParabolicQuadric, rows) -> bool:
-    """True iff the totally isotropic line satisfies the six Plücker equations."""
-    rows = tuple(tuple(r) for r in rows)
+    """True iff the totally isotropic line satisfies the six Plücker equations.
+
+    They compare p_ij = x_i y_j - x_j y_i of any basis (x, y) unscaled: a
+    change of basis scales every p_ij alike.
+    """
     if not quad.line_is_isotropic(rows):
         raise ValueError("line is not totally isotropic on Q(6, q)")
-    p = PluckerCoords(quad.gf, rows[0], rows[1])
+    x, y = rows
+    mul, sub = quad.gf.mul_table, quad.gf.sub_table
+
+    def p(i, j):
+        return sub[mul[x[i]][y[j]]][mul[x[j]][y[i]]]
+
     return all(p(i, j) == p(k, l) for (i, j), (k, l) in _LINE_CONDITIONS)
 
 
@@ -62,15 +72,24 @@ def _plane_equations(quad: ParabolicQuadric, x) -> list:
     return rows
 
 
-def _lines_through(quad: ParabolicQuadric, x) -> set:
-    """Canonical bases of the q+1 lines of H(q) through the quadric point x."""
+def _lines_through(quad: ParabolicQuadric, x) -> list:
+    """Canonical bases of the lines of H(q) through the quadric point x whose
+    second row is x, so that ``build`` makes each line once.
+
+    Each line through x meets the line of pi_x that misses x in one point
+    z.  The second row of its basis is its point of latest pivot, which is
+    x exactly when z's pivot comes before x's; the basis is then
+    (z - z[p_x] x, x).
+    """
     space = quad.space
     plane = space.nullspace(_plane_equations(quad, x))
     if len(plane) != 3:
         raise InternalConsistencyError(
             f"H({quad.gf.q}): the plane of point {x} has {len(plane)} rows, expected 3"
         )
-    return set(space.pencil(x, plane))
+    px, pts = x.index(1), space.points
+    line = space.line_point_indices(space.missing_line(x, plane))
+    return [space.join(z, x) for z in map(pts.__getitem__, line) if z.index(1) < px]
 
 
 def build(q: int) -> LineSet:
@@ -78,10 +97,7 @@ def build(q: int) -> LineSet:
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
     quad = parabolic_quadric(q)
-    found = set()
-    for x in quad.points():
-        found |= _lines_through(quad, x)
-    lines = sorted(found)
+    lines = sorted(key for x in quad.points() for key in _lines_through(quad, x))
     for rows in lines:
         try:
             ok = hexagon_line_predicate(quad, rows)

@@ -18,11 +18,10 @@ class LineSet:
         self.space = space
         keys = set()
         for rows in lines:
-            if not canonical:
-                rows = space.rref(rows)
+            rows = tuple(map(tuple, rows)) if canonical else space.line_basis(rows)
             if len(rows) != 2:
                 raise ValueError(f"not a line: projdim {len(rows) - 1}")
-            keys.add(tuple(tuple(r) for r in rows))
+            keys.add(rows)
         self.lines: tuple = tuple(sorted(keys))
         self.line_points: tuple = tuple(
             space.line_point_indices(rows) for rows in self.lines
@@ -65,13 +64,28 @@ class LineSet:
         rows = [r for li in self.point_lines[point_index] for r in self.lines[li]]
         return self.space.subspace(rows)
 
-    def span_rows(self) -> tuple:
-        rows = [r for key in self.lines for r in key]
-        return self.space.rref(rows)
-
     def span_dim(self) -> int:
-        """Projective dimension of the span of all covered points."""
-        return len(self.span_rows()) - 1
+        """Projective dimension of the span of all covered points.
+
+        The lines' rows are reduced one at a time against an echelon basis,
+        each row of it a 1 at its pivot and 0 before, in pivot order; the
+        reduction stops once the basis spans the whole space.
+        """
+        space = self.space
+        mul, sub = space.gf.mul_table, space.gf.sub_table
+        basis: dict[int, tuple] = {}
+        for row in (r for key in self.lines for r in key):
+            w = row
+            for p in sorted(basis):
+                if w[p]:
+                    mt = mul[w[p]]
+                    w = [sub[a][mt[b]] for a, b in zip(w, basis[p])]
+            if any(w):
+                w = space.normalize(w)
+                basis[w.index(1)] = w
+                if len(basis) == space.width:
+                    break
+        return len(basis) - 1
 
     def lines_in(self, u: Subspace) -> set[int]:
         """Ids of the lines of the set inside ``u``; |L_U| is its size."""

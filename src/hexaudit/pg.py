@@ -324,39 +324,81 @@ class PG:
         return Subspace(self, self.nullspace(na + nb), canonical=True)
 
     def line_through(self, p1, p2) -> Subspace:
-        line = Subspace(self, (p1, p2))
-        if line.projdim != 1:
+        rows = self.line_basis((p1, p2))
+        if len(rows) != 2:
             raise ValueError("points do not span a line")
-        return line
+        return Subspace(self, rows, canonical=True)
+
+    def join(self, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Canonical basis of the line through the distinct points u and v,
+        normalized tuples.
+
+        With equal pivots, v is first replaced by v - u, normalized, whose
+        pivot comes later.  Of two normalized points with pivots a < b,
+        the later one is already the second RREF row, and clearing column b
+        from the earlier one, the only row operation, gives the first.
+        """
+        pu, pv = u.index(1), v.index(1)
+        if pu == pv:
+            sub = self.gf.sub_table
+            v = self.normalize([sub[a][b] for a, b in zip(v, u)])
+            pv = v.index(1)
+        if pv < pu:
+            u, v, pv = v, u, pu
+        c = u[pv]
+        if c:
+            sub, mt = self.gf.sub_table, self.gf.mul_table[c]
+            u = tuple([sub[a][mt[b]] for a, b in zip(u, v)])
+        return (u, v)
+
+    def line_basis(self, rows) -> tuple:
+        """``rref(rows)``, by one ``join`` when the rows are two distinct
+        points of the space, the usual basis of a line."""
+        if len(rows) == 2:
+            u, v = rows
+            if len(u) == len(v) == self.width and any(u) and any(v):
+                u, v = self.normalize(u), self.normalize(v)
+                if u != v:
+                    return self.join(u, v)
+        return self.rref(rows)
 
     def line_point_indices(self, rows) -> tuple[int, ...]:
-        """Indices of the q+1 points on a line given by two basis rows."""
+        """Indices, ascending, of the q+1 points on the line with canonical
+        basis ``rows``.
+
+        For an RREF basis (x, y), y and every x + c*y lead with a 1, so none
+        needs normalizing, and they are listed in point-table order: y has
+        a 0 at x's pivot, and x + c*y holds c at y's pivot.
+        """
         x, y = rows
-        gf = self.gf
-        add, mul = gf.add_table, gf.mul_table
+        add, mul = self.gf.add_table, self.gf.mul_table
         idx = self.point_index
-        out = [idx[self.normalize(y)]]
-        for c in range(self.q):
-            if c == 0:
-                v = x
-            else:
-                mt = mul[c]
-                v = tuple(add[a][mt[b]] for a, b in zip(x, y))
-            out.append(idx[self.normalize(v)])
-        return tuple(sorted(out))
+        out = [idx[y], idx[x]]
+        for c in range(1, self.q):
+            mt = mul[c]
+            out.append(idx[tuple([add[a][mt[b]] for a, b in zip(x, y)])])
+        return tuple(out)
 
-    def pencil(self, x, plane) -> list:
-        """Sorted canonical bases of the q+1 lines through the point x in a plane.
+    def missing_line(self, x, plane) -> tuple:
+        """Two of the three RREF rows of a plane through the point x, spanning
+        a line of the plane that misses x.
 
-        ``plane`` must be the three RREF rows of a plane that contains x.
-        x has its pivot coordinates as coefficients on those rows (each row
+        x has its pivot coordinates as coefficients on the rows (each row
         leads with 1), so the two rows left after dropping one that x uses
-        span a line of the plane missing x; x is joined to its points.
+        do not span x.
         """
         drop = next(r for r in plane if x[r.index(1)])
-        a, b = (r for r in plane if r is not drop)
-        pts = self.line_point_indices((a, b))
-        return sorted(self.rref((x, self.points[z])) for z in pts)
+        return tuple(r for r in plane if r is not drop)
+
+    def pencil(self, x, plane) -> list:
+        """Sorted canonical bases of the q+1 lines through the point x in a plane:
+        x joined to each point of ``missing_line(x, plane)``.
+
+        ``plane`` must be the three RREF rows of a plane that contains x.
+        """
+        pts = self.points
+        line = self.line_point_indices(self.missing_line(x, plane))
+        return sorted(self.join(x, pts[z]) for z in line)
 
     def enumerate_subspaces(self, d: int):
         """All d-dimensional subspaces, canonical, in lexicographic order."""

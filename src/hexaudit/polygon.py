@@ -282,7 +282,7 @@ def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
     a line s with a (alpha = number of full-pencil points of m on s),
     |L| >= q|L_M| - alpha q^2 + alpha q + 1.
     """
-    lrows = ls.space.rref(l)
+    lrows = ls.space.line_basis(l)
     if lrows not in ls:
         raise ValueError("l is not a line of the set")
     if ls.space.meet(Subspace(ls.space, lrows, canonical=True), m).projdim != 0:

@@ -70,9 +70,10 @@ class ParabolicQuadric:
         return self._points
 
     def line_is_isotropic(self, rows) -> bool:
-        """True iff all q+1 points of the line lie on the quadric."""
-        pts = self.space.points
-        return not any(self.form(pts[i]) for i in self.space.line_point_indices(rows))
+        """True iff all q+1 points of the line spanned by ``rows`` lie on the quadric."""
+        space = self.space
+        line = space.line_point_indices(space.line_basis(rows))
+        return not any(self.form(space.points[i]) for i in line)
 
     def isotropic_lines(self) -> tuple:
         """Canonical bases of all totally isotropic lines, sorted (cached).

@@ -158,11 +158,13 @@ def test_closed_stdout_after_argparse_exits_1_quietly(argv):
 
 def test_import_loads_no_code_generators():
     """Importing the CLI loads neither ``dataclasses`` nor what it imports
-    to generate code, on a bare interpreter with no site hooks."""
+    to generate code, nor ``hashlib`` and its OpenSSL binding, on a bare
+    interpreter with no site hooks."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    heavy = {"dataclasses", "inspect", "ast", "dis", "hashlib", "_hashlib"}
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import hexaudit.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+        f"print(sorted({heavy!r} & set(sys.modules)))"
     )
     r = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=30
@@ -298,6 +300,11 @@ class TestAudit:
         "text, reason",
         [
             ("PGLS 1\nn 3\nn 4\nq 2\n1 0 0 0 0, 0 1 0 0 0\n", "repeated header field 'n'"),
+            # A body line that spans no line: a repeated point, a scalar
+            # multiple of one, and a zero row.
+            ("PGLS 1\nn 4\nq 2\n0 1 1 0 1, 0 1 1 0 1\n", "not a line: projdim 0"),
+            ("PGLS 1\nn 4\nq 3\n2 0 0 0 0, 1 0 0 0 0\n", "not a line: projdim 0"),
+            ("PGLS 1\nn 4\nq 3\n0 0 0 0 0, 0 1 2 0 1\n", "not a line: projdim 0"),
             (
                 "PGLS 1\nn 10\nq 13\n1 0 0 0 0 0 0 0 0 0 0, 0 1 0 0 0 0 0 0 0 0 0\n",
                 "PG(10, 13) has more than 1048576 points",

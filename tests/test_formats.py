@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,8 @@ class TestReports:
             input_digest("")
             == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         )
+        text = "PGLS 1\nn 6\nq 3\n# π_x, Ω, ℓ ∈ H(q)\r\n\u00e9\U0001d53d\n"
+        assert input_digest(text) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_dumps_is_deterministic_json(self):
         doc = report_document("audit", {"b": 2, "a": 1})

@@ -6,6 +6,7 @@ import hexaudit.hexagon as hexagon_module
 from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset
 from hexaudit.hexagon import (
+    _LINE_CONDITIONS,
     _lines_through,
     _plane_equations,
     build,
@@ -13,7 +14,7 @@ from hexaudit.hexagon import (
     verify_flat_full,
 )
 from hexaudit.lineset import LineSet
-from hexaudit.pg import projective_space
+from hexaudit.pg import PluckerCoords, projective_space
 from hexaudit.quadric import parabolic_quadric
 
 # SHA-256 of dump_lineset(H(5)), recorded from the isotropic lines of
@@ -66,9 +67,17 @@ class TestPlaneConstruction:
         quad = parabolic_quadric(ls.q)
         space = quad.space
         for x in quad.points():
-            assert len(space.nullspace(_plane_equations(quad, x))) == 3
-            through = {ls.lines[li] for li in ls.point_lines[space.point_index[x]]}
-            assert _lines_through(quad, x) == through
+            plane = space.nullspace(_plane_equations(quad, x))
+            assert len(plane) == 3
+            through = [ls.lines[li] for li in ls.point_lines[space.point_index[x]]]
+            assert space.pencil(x, plane) == through
+            assert sorted(_lines_through(quad, x)) == [key for key in through if key[1] == x]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_each_line_is_built_once(self, q):
+        quad = parabolic_quadric(q)
+        built = [key for x in quad.points() for key in _lines_through(quad, x)]
+        assert len(built) == len(set(built)) == (q**6 - 1) // (q - 1)
 
     def test_without_the_polar_row_build_raises(self, monkeypatch):
         equations = hexagon_module._plane_equations
@@ -84,7 +93,7 @@ class TestPlaneConstruction:
         stray = space.rref(((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0)))
         pencil = hexagon_module._lines_through
         monkeypatch.setattr(
-            hexagon_module, "_lines_through", lambda quad, x: pencil(quad, x) | {stray}
+            hexagon_module, "_lines_through", lambda quad, x: pencil(quad, x) + [stray]
         )
         with pytest.raises(InternalConsistencyError, match="non-hexagon line"):
             build(2)
@@ -116,6 +125,42 @@ class TestLinePredicate:
         assert len(rejected) == 315 - 63
         for rows in rejected[:10]:
             assert not hexagon_line_predicate(quad, rows)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_equals_scaled_plucker_referee(self, q):
+        """On every isotropic line, the unscaled comparison agrees with the
+        six equations read on the rescaled Plücker vector."""
+        quad = parabolic_quadric(q)
+        for x, y in quad.isotropic_lines():
+            p = PluckerCoords(quad.gf, x, y)
+            expected = all(p(i, j) == p(k, l) for (i, j), (k, l) in _LINE_CONDITIONS)
+            assert hexagon_line_predicate(quad, (x, y)) == expected
+
+    @pytest.mark.parametrize("fixture", ["h2", "h3"])
+    def test_any_basis_of_a_line(self, fixture, request):
+        """Both take any basis of a line: here (x + y, c*y), c the element
+        coded q - 1, never reduced, for the canonical (x, y) of every
+        hexagon line, of some rejected isotropic lines and of a
+        non-isotropic line."""
+        ls = request.getfixturevalue(fixture)
+        quad = parabolic_quadric(ls.q)
+        gf = quad.gf
+
+        def skew(rows):
+            x, y = rows
+            return (tuple(map(gf.add, x, y)), [gf.mul(gf.q - 1, c) for c in y])
+
+        for rows in ls.lines:
+            assert quad.line_is_isotropic(skew(rows))
+            assert hexagon_line_predicate(quad, skew(rows))
+        chosen = set(ls.lines)
+        rejected = [rows for rows in quad.isotropic_lines() if rows not in chosen][:50]
+        assert rejected
+        for rows in rejected:
+            assert quad.line_is_isotropic(skew(rows))
+            assert not hexagon_line_predicate(quad, skew(rows))
+        stray = skew(((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0)))
+        assert not quad.line_is_isotropic(stray)
 
     def test_non_isotropic_line_raises(self):
         quad = parabolic_quadric(2)

@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexaudit.lineset import LineSet
 from hexaudit.pg import (
     PG,
     PluckerCoords,
@@ -369,6 +370,84 @@ class TestLines:
         assert list(idx) == sorted(set(idx))
         for i in idx:
             assert line.contains_vec(space.points[i])
+
+
+# Spaces for the two-point line properties: n <= 6, GF(4) among the fields.
+LINE_SPACES = [(1, 2), (2, 4), (3, 3), (4, 5), (5, 4), (6, 2), (6, 3), (6, 4), (6, 5)]
+
+
+def sorted_line_points(space, rows):
+    """Referee: y and every x + c*y, normalized, looked up and sorted."""
+    x, y = rows
+    gf = space.gf
+    vecs = [y] + [tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(x, y)) for c in range(gf.q)]
+    return tuple(sorted(space.point_index[space.normalize(v)] for v in vecs))
+
+
+def two_distinct_points(data, space):
+    i, j = data.draw(
+        st.lists(st.integers(0, len(space.points) - 1), min_size=2, max_size=2, unique=True)
+    )
+    return space.points[i], space.points[j]
+
+
+class TestTwoPointLines:
+    """``join`` and ``line_point_indices`` against ``rref`` and the
+    normalize-and-sort definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(LINE_SPACES))
+    def test_join_equals_rref(self, data, key):
+        space = projective_space(*key)
+        u, v = two_distinct_points(data, space)
+        assert space.join(u, v) == space.rref((u, v))
+        assert space.join(v, u) == space.rref((u, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(LINE_SPACES))
+    def test_line_point_indices_equal_sorted_definition(self, data, key):
+        space = projective_space(*key)
+        rows = space.join(*two_distinct_points(data, space))
+        assert space.line_point_indices(rows) == sorted_line_points(space, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(LINE_SPACES))
+    def test_lineset_from_any_basis(self, data, key):
+        """Scaled, swapped or unreduced bases (a, b) = M (x, y), M any
+        invertible 2x2 matrix, give the set of the canonical bases."""
+        space = projective_space(*key)
+        gf = space.gf
+        element = st.integers(0, gf.q - 1)
+        keys, bases = [], []
+        for _ in range(data.draw(st.integers(1, 4))):
+            x, y = space.join(*two_distinct_points(data, space))
+            m = data.draw(
+                st.lists(element, min_size=4, max_size=4).filter(
+                    lambda m: gf.sub(gf.mul(m[0], m[3]), gf.mul(m[1], m[2]))
+                )
+            )
+            a, b = (
+                tuple(gf.add(gf.mul(s, xi), gf.mul(t, yi)) for xi, yi in zip(x, y))
+                for s, t in (m[:2], m[2:])
+            )
+            keys.append((x, y))
+            bases.append((list(a), b))
+        assert LineSet(space, bases) == LineSet(space, keys, canonical=True)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 0, 2, 1), (1, 0, 2, 1)],  # a repeated point
+            [(2, 0, 0, 0), (1, 0, 0, 0)],  # a scalar multiple
+            [(0, 0, 0, 0), (0, 1, 1, 0)],  # a zero row
+            [(0, 0, 0, 0), (0, 0, 0, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)],  # three rows on a line
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+        ],
+    )
+    def test_line_basis_is_rref_on_any_rows(self, rows):
+        space = projective_space(3, 3)
+        assert space.line_basis(rows) == space.rref(rows)
 
 
 def brute_pencil(space, x, plane_rows):
