@@ -33,11 +33,18 @@ process:
 * The canonical basis of U, the nullspace of the annihilator rows, is
   computed only for subspaces whose count violates an axiom; the
   byte-minimal one is the witness.
+* Planes (d = 2, n >= 4) skip the walk.  Two lines of a plane meet, so
+  every plane of c >= 2 lines is spanned by the C(c, 2) pairs of lines
+  through a common point, each counted at that point; H[l] & H[m], the
+  hyperplanes through the pair's plane, is the plane's key, and c follows
+  from the pairs per key.  Each plane's lines are recounted from one of
+  them, l, as l and the lines through its points whose H holds the key,
+  and the two counts must agree.  A flagged plane's basis is the RREF of
+  two of its lines.
 
-Two slower count sources are kept as referees and must give identical
-reports: closure enumeration (every d-subspace through every line,
-hashed, in ``_closure_counts``) and the naive full enumeration of all
-d-subspaces (``naive_audit``).
+The naive full enumeration of all d-subspaces (``naive_audit``) and the
+tests' closure enumeration (every d-subspace through every line) are
+kept as referees and must give identical reports.
 Every histogram, from any source, must pass two pair-count identities
 (``_check_pair_counts``) that do not depend on the source.
 """
@@ -345,15 +352,59 @@ class _DualCounts:
             )
         return memo
 
-    def __call__(self, d: int, bad: frozenset):
+    def _meeting_planes(self) -> dict:
+        """{H[l] & H[m]: [pairs, l]} over the pairs of lines (l, m) through
+        each point: the hyperplanes through the plane the pair spans, the
+        number of pairs that span it, and a line of it."""
+        line_hyps = self.line_hyperplanes
+        planes: dict = {}
+        last = entry = None
+        for ids in self.ls.point_lines.values():
+            for i, l in enumerate(ids):
+                hl = line_hyps[l]
+                for m in ids[i + 1:]:
+                    key = hl & line_hyps[m]
+                    # Pairs of one pencil follow each other; comparing with
+                    # the last key is cheaper than hashing a wide one.
+                    if key != last:
+                        last, entry = key, planes.get(key)
+                        if entry is None:
+                            entry = planes[key] = [0, l]
+                    entry[0] += 1
+        return planes
+
+    def _planes(self, bad: frozenset):
+        """Counts >= 2 at d = 2 and the flagged planes' bases, from
+        ``_meeting_planes``: two lines of a plane meet, so a plane of c >= 2
+        lines is spanned by C(c, 2) pairs, each at its common point.  Its
+        lines are recounted as l and the lines through l's points that lie
+        in the plane, and the two counts must agree."""
+        ls, line_hyps = self.ls, self.line_hyperplanes
+        point_lines, line_points = ls.point_lines, ls.line_points
+        tally: Counter = Counter()
+        bases = []
+        for key, (pairs, l) in self._meeting_planes().items():
+            inside = [
+                m
+                for x in line_points[l]
+                for m in point_lines[x]
+                if m != l and line_hyps[m] & key == key
+            ]
+            c = len(inside) + 1
+            if c * (c - 1) // 2 != pairs:
+                raise InternalConsistencyError(
+                    f"d = 2: a plane of {c} lines is spanned by {pairs} meeting pairs"
+                )
+            tally[c] += 1
+            if c in bad:
+                bases.append((ls.space.rref(ls.lines[l] + ls.lines[inside[0]]), c))
+        return tally, bases
+
+    def _walk(self, k: int, bad: frozenset):
+        """Counts >= 2 over the subspaces cut out by k >= 1 annihilator
+        rows, and the flagged ones' bases."""
         space = self.ls.space
-        k = space.n - d
         nlines = len(self.ls.lines)
-        if k == 0:
-            rows = space.whole_space().rows
-            return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
-        if 1 in bad:
-            raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
         tally: Counter = Counter()
         flagged = []
         masks = self.masks
@@ -428,6 +479,21 @@ class _DualCounts:
                 # the row that is completed for all its choices at once.
                 levels.sort(key=lambda lv: len(lv[0]))
                 walk(levels, 0, (1 << nlines) - 1, ())
+        points = space.points
+        return tally, [
+            (space.nullspace([points[h] for h in hyps]), c) for hyps, c in flagged
+        ]
+
+    def __call__(self, d: int, bad: frozenset):
+        space = self.ls.space
+        k = space.n - d
+        nlines = len(self.ls.lines)
+        if k == 0:
+            rows = space.whole_space().rows
+            return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
+        if 1 in bad:
+            raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
+        tally, bases = self._planes(bad) if d == 2 and k >= 2 else self._walk(k, bad)
         # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
         # (line, U) number nlines times that; the rest have |L_U| = 1.
         ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(
@@ -440,20 +506,7 @@ class _DualCounts:
             )
         if ones:
             tally[1] = ones
-        points = space.points
-        bases = [
-            (space.nullspace([points[h] for h in hyps]), c) for hyps, c in flagged
-        ]
         return dict(tally), bases
-
-
-def _closure_counts(ls: LineSet, d: int) -> Counter:
-    """Map canonical basis -> |L_U| over d-subspaces meeting L, by hashing
-    every d-subspace through every line (the closure referee)."""
-    counts: Counter = Counter()
-    for key in ls.lines:
-        counts.update(ls.space.subspaces_through_rows(key, d))
-    return counts
 
 
 def _naive_counts(ls: LineSet, d: int) -> dict:

@@ -8,6 +8,7 @@ declared seeds; reports embed the tool version and an input digest.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -230,13 +231,23 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``parse_args``, writing what argparse prints itself (--help,
+    --version) to stdout here: argparse drops a failed write, which an
+    unbuffered stdout would meet inside it."""
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        return make_parser().parse_args(argv)
+    finally:
+        text, sys.stdout = sys.stdout.getvalue(), stdout
+        if text:
+            stdout.write(text)
+            stdout.flush()
+
+
 def main(argv=None) -> int:
     try:
-        try:
-            args = make_parser().parse_args(argv)
-        except SystemExit:
-            sys.stdout.flush()  # --help and --version print, then exit here
-            raise
+        args = _parse(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -10,9 +10,6 @@ Conventions, fixed once for the whole package:
   subspace (projdim -1).
 * Enumeration order is lexicographic on the RREF matrix read row-major
   by integer element code, so all streams and file outputs are stable.
-* Plücker coordinates are stored for i < j; the signed accessor returns
-  ``-p_ij`` when asked for ``p(j, i)``.  In characteristic 2 the sign is
-  immaterial, but the convention is applied uniformly.
 """
 
 from __future__ import annotations
@@ -107,47 +104,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.projdim}, rows={self.rows})"
-
-
-class PluckerCoords:
-    """Grassmann coordinates of a line, canonically rescaled.
-
-    Stores ``p_ij`` for i < j with the first nonzero coordinate (in
-    lexicographic (i, j) order) scaled to 1.  The call accessor applies
-    the antisymmetric convention ``p(j, i) == -p(i, j)``.
-    """
-
-    __slots__ = ("gf", "raw")
-
-    def __init__(self, gf: GF, x, y):
-        mul, sub = gf.mul_table, gf.sub_table
-        width = len(x)
-        raw = {}
-        for i in range(width):
-            for j in range(i + 1, width):
-                raw[(i, j)] = sub[mul[x[i]][y[j]]][mul[x[j]][y[i]]]
-        scale = None
-        for key in sorted(raw):
-            if raw[key]:
-                scale = gf.inv(raw[key])
-                break
-        if scale is None:
-            raise ValueError("degenerate basis: all Plücker coordinates vanish")
-        if scale != 1:
-            mt = mul[scale]
-            raw = {key: mt[v] for key, v in raw.items()}
-        self.gf = gf
-        self.raw = raw
-
-    def __call__(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        if i < j:
-            return self.raw[(i, j)]
-        return self.gf.neg_table[self.raw[(j, i)]]
-
-    def vector(self) -> tuple[int, ...]:
-        return tuple(self.raw[key] for key in sorted(self.raw))
 
 
 # Bounds the point table before it is built: that of PG(6, 8), 299 593
@@ -452,12 +408,6 @@ class PG:
         self.check_ambient(f.space)
         mats = sorted(self.subspaces_through_rows(f.rows, d))
         return [Subspace(self, rows, canonical=True) for rows in mats]
-
-    def plucker(self, line: Subspace) -> PluckerCoords:
-        self.check_ambient(line.space)
-        if line.projdim != 1:
-            raise ValueError(f"expected a line, got projdim {line.projdim}")
-        return PluckerCoords(self.gf, line.rows[0], line.rows[1])
 
     def __repr__(self):
         return f"PG({self.n}, {self.q})"

@@ -10,7 +10,6 @@ import pytest
 
 from hexaudit.audit import (
     AxiomConfig,
-    _closure_counts,
     audit,
     naive_audit,
 )
@@ -28,6 +27,7 @@ from hexaudit.polygon import (
 from hexaudit.quadric import SectionType, parabolic_quadric
 from hexaudit.search import SearchSpec, run as run_search
 from hexaudit.srg import SrgParams, eigenvalues, is_conference, q_feasible
+from referees import closure_counts
 
 CLASSIFY4_Q2 = {
     "parabolic-Q4": 1344,
@@ -77,7 +77,7 @@ def test_criterion_2_full_audit(q):
 def test_criterion_3_four_case_lemma(h2):
     q = 2
     quad = parabolic_quadric(q)
-    counts = _closure_counts(h2, 4)
+    counts = closure_counts(h2, 4)
     bounds = {
         SectionType.PARABOLIC_Q4: q**2 + 1,
         SectionType.CONE_OVER_ELLIPTIC: q**2 + 1,

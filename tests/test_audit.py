@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -14,9 +15,9 @@ from hexaudit.audit import (
     AxiomConfig,
     _audit,
     _bit_slices,
-    _closure_counts,
     _dict_source,
     _DualCounts,
+    _naive_counts,
     _orthogonal,
     _sliced_counts,
     _value_masks,
@@ -37,6 +38,7 @@ from hexaudit.polygon import (
     hyperplane_consequence_check,
 )
 from hexaudit.quadric import parabolic_quadric
+from referees import closure_counts
 
 # Benchmark goldens and inputs, read only: PGLS digests and report documents.
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -316,7 +318,7 @@ class TestOracleEquivalence:
 
 
 def closure_audit(ls, cfg):
-    return _audit(ls, cfg, _dict_source(ls, _closure_counts))
+    return _audit(ls, cfg, _dict_source(ls, closure_counts))
 
 
 def lineset_from_pairs(space_key, pairs):
@@ -501,6 +503,91 @@ class TestDualKernel:
         dual = audit(ls, cfg).to_dict()
         assert dual == closure_audit(ls, cfg).to_dict()
         assert dual == naive_audit(ls, cfg).to_dict()
+
+
+def plant(space, kind, picks):
+    """Lines of one planted configuration on the points ``picks`` (indices
+    mod the point count), or None if the points are degenerate for it."""
+    pts = space.points
+    x, y, z, w = (pts[i % len(pts)] for i in picks)
+    if kind == "concurrent-off-plane":
+        # Three lines through x that span a solid, not a plane.
+        if len(space.rref([x, y, z, w])) != 4:
+            return None
+        return [space.rref((x, v)) for v in (y, z, w)]
+    plane = space.rref([x, y, z])
+    if len(plane) != 3:
+        return None
+    if kind == "triangle":
+        # Three coplanar lines, no point on all three.
+        return [space.rref(pair) for pair in ((x, y), (y, z), (x, z))]
+    # "full-plane": every line of the plane.
+    on = list(Subspace(space, plane, canonical=True).points())
+    return [space.rref(pair) for pair in itertools.combinations(on, 2)]
+
+
+def drop_pair(planes):
+    """One meeting pair of a plane is lost."""
+    next(iter(planes.values()))[0] -= 1
+
+
+def merge_keys(planes):
+    """Two planes' pairs are counted under one key."""
+    first, second = list(planes)[:2]
+    planes[first][0] += planes.pop(second)[0]
+
+
+class TestPlanesFromMeetingPairs:
+    """d = 2 with n >= 4 counts planes from the pairs of lines through each
+    point, and recounts each plane's lines as a check that can fail."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        space_key=st.sampled_from([(4, 2), (4, 3), (5, 2), (6, 2)]),
+        kind=st.sampled_from(["triangle", "full-plane", "concurrent-off-plane"]),
+        picks=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+        pairs=RANDOM_PAIRS,
+    )
+    def test_matches_naive_with_planted_planes(self, space_key, kind, picks, pairs):
+        """Histogram and every basis of a plane of two or more lines, as the
+        naive enumeration of all planes gives them."""
+        space = projective_space(*space_key)
+        planted = plant(space, kind, picks)
+        assume(planted is not None)
+        ls = LineSet(space, [*lineset_from_pairs(space_key, pairs).lines, *planted])
+        bad = frozenset(range(2, len(ls.lines) + 1))
+        hist, bases = _DualCounts(ls)(2, bad)
+        want_hist, want_bases = _dict_source(ls, _naive_counts)(2, bad)
+        assert hist == want_hist
+        assert sorted(bases) == sorted(want_bases)
+        if kind == "full-plane":
+            assert hist[space.q**2 + space.q + 1] >= 1
+
+    @pytest.mark.parametrize("mutate", [drop_pair, merge_keys])
+    def test_wrong_pair_counts_raise(self, h2, mutate, monkeypatch):
+        meeting_planes = _DualCounts._meeting_planes
+
+        def wrong(kernel):
+            planes = meeting_planes(kernel)
+            mutate(planes)
+            return planes
+
+        monkeypatch.setattr(_DualCounts, "_meeting_planes", wrong)
+        with pytest.raises(InternalConsistencyError, match="d = 2: a plane of 3 lines"):
+            audit(h2, AxiomConfig.from_names(["Pl"]))
+
+    @pytest.mark.parametrize("n, q, planes_path", [(3, 2, False), (3, 3, False), (4, 2, True)])
+    def test_only_spaces_past_pg3_count_planes_from_pairs(self, n, q, planes_path, monkeypatch):
+        """In PG(3, q) a plane is a hyperplane and keeps the one-row map."""
+        calls = []
+        planes = _DualCounts._planes
+        monkeypatch.setattr(
+            _DualCounts, "_planes", lambda kernel, bad: calls.append(bad) or planes(kernel, bad)
+        )
+        ls = random_lineset(projective_space(n, q), random.Random(n * 10 + q), max_lines=10)
+        cfg = AxiomConfig.from_names(["Pl"])
+        assert audit(ls, cfg).to_dict() == naive_audit(ls, cfg).to_dict()
+        assert bool(calls) == planes_path
 
 
 def test_h4_build_and_full_audit():

@@ -156,6 +156,29 @@ def test_closed_stdout_after_argparse_exits_1_quietly(argv):
     assert (r.returncode, r.stderr) == (1, "")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--help"], ["build", "--help"]], ids=["version", "help", "build-help"]
+)
+def test_closed_stdout_after_argparse_exits_1_quietly_unbuffered(argv):
+    """Unbuffered, the write itself meets the closed pipe, and argparse
+    would drop its error and exit 0: still exit 1 and nothing on stderr."""
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "hexaudit", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (1, "")
+
+
 def test_import_loads_no_code_generators():
     """Importing the CLI loads neither ``dataclasses`` nor what it imports
     to generate code, nor ``hashlib`` and its OpenSSL binding, on a bare

@@ -14,8 +14,9 @@ from hexaudit.hexagon import (
     verify_flat_full,
 )
 from hexaudit.lineset import LineSet
-from hexaudit.pg import PluckerCoords, projective_space
+from hexaudit.pg import projective_space
 from hexaudit.quadric import parabolic_quadric
+from referees import PluckerCoords
 
 # SHA-256 of dump_lineset(H(5)), recorded from the isotropic lines of
 # Q(6, 5) filtered by hexagon_line_predicate.
