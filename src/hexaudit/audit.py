@@ -33,14 +33,15 @@ process:
 * The canonical basis of U, the nullspace of the annihilator rows, is
   computed only for subspaces whose count violates an axiom; the
   byte-minimal one is the witness.
-* Planes (d = 2, n >= 4) skip the walk.  Two lines of a plane meet, so
+* Planes (d = 2) skip the walk.  Two lines of a plane meet, so
   every plane of c >= 2 lines is spanned by the C(c, 2) pairs of lines
   through a common point, each counted at that point; H[l] & H[m], the
   hyperplanes through the pair's plane, is the plane's key, and c follows
-  from the pairs per key.  Each plane's lines are recounted from one of
-  them, l, as l and the lines through its points whose H holds the key,
-  and the two counts must agree.  A flagged plane's basis is the RREF of
-  two of its lines.
+  from the pairs per key.  Each line of such a plane is in c - 1 of its
+  pairs, so the pairs holding the key's first line give c again, and the
+  two counts must agree.  A flagged plane's basis is the RREF of two of
+  its lines.  The keys are kept until all pairs are counted: one int of
+  a bit per hyperplane for each plane of two or more lines.
 
 The naive full enumeration of all d-subspaces (``naive_audit``) and the
 tests' closure enumeration (every d-subspace through every line) are
@@ -353,51 +354,43 @@ class _DualCounts:
         return memo
 
     def _meeting_planes(self) -> dict:
-        """{H[l] & H[m]: [pairs, l]} over the pairs of lines (l, m) through
-        each point: the hyperplanes through the plane the pair spans, the
-        number of pairs that span it, and a line of it."""
+        """{H[l] & H[m]: [pairs, l, m, pairs holding l]} over the pairs of
+        lines (l, m) through each point: the hyperplanes through the plane
+        the pair spans, the number of pairs that span it, the first such
+        pair, and how many of them hold that pair's l."""
         line_hyps = self.line_hyperplanes
         planes: dict = {}
-        last = entry = None
         for ids in self.ls.point_lines.values():
             for i, l in enumerate(ids):
                 hl = line_hyps[l]
                 for m in ids[i + 1:]:
                     key = hl & line_hyps[m]
-                    # Pairs of one pencil follow each other; comparing with
-                    # the last key is cheaper than hashing a wide one.
-                    if key != last:
-                        last, entry = key, planes.get(key)
-                        if entry is None:
-                            entry = planes[key] = [0, l]
+                    entry = planes.get(key)
+                    if entry is None:
+                        entry = planes[key] = [0, l, m, 0]
                     entry[0] += 1
+                    if entry[1] == l or entry[1] == m:
+                        entry[3] += 1
         return planes
 
     def _planes(self, bad: frozenset):
         """Counts >= 2 at d = 2 and the flagged planes' bases, from
         ``_meeting_planes``: two lines of a plane meet, so a plane of c >= 2
-        lines is spanned by C(c, 2) pairs, each at its common point.  Its
-        lines are recounted as l and the lines through l's points that lie
-        in the plane, and the two counts must agree."""
-        ls, line_hyps = self.ls, self.line_hyperplanes
-        point_lines, line_points = ls.point_lines, ls.line_points
+        lines is spanned by C(c, 2) pairs, each at its common point, and
+        each of its lines is in c - 1 of them.  A pair lost, or counted
+        under another plane's key, breaks that."""
+        ls = self.ls
         tally: Counter = Counter()
         bases = []
-        for key, (pairs, l) in self._meeting_planes().items():
-            inside = [
-                m
-                for x in line_points[l]
-                for m in point_lines[x]
-                if m != l and line_hyps[m] & key == key
-            ]
-            c = len(inside) + 1
+        for pairs, l, m, at_l in self._meeting_planes().values():
+            c = at_l + 1
             if c * (c - 1) // 2 != pairs:
                 raise InternalConsistencyError(
                     f"d = 2: a plane of {c} lines is spanned by {pairs} meeting pairs"
                 )
             tally[c] += 1
             if c in bad:
-                bases.append((ls.space.rref(ls.lines[l] + ls.lines[inside[0]]), c))
+                bases.append((ls.space.rref(ls.lines[l] + ls.lines[m]), c))
         return tally, bases
 
     def _walk(self, k: int, bad: frozenset):
@@ -493,7 +486,7 @@ class _DualCounts:
             return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
-        tally, bases = self._planes(bad) if d == 2 and k >= 2 else self._walk(k, bad)
+        tally, bases = self._planes(bad) if d == 2 else self._walk(k, bad)
         # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
         # (line, U) number nlines times that; the rest have |L_U| = 1.
         ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(

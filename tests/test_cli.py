@@ -94,6 +94,26 @@ def test_out_to_dev_stdout_matches_dash(tmp_path):
     assert dash.stdout.startswith("{")
 
 
+def _into_closed_pipe(args, unbuffered):
+    """Run the CLI with stdout the write end of a pipe whose read end is
+    closed, with ``PYTHONUNBUFFERED`` set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "hexaudit", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
@@ -113,69 +133,24 @@ def test_closed_stdout_exits_1_quietly(tmp_path, argv, unbuffered):
     code 2, and nothing on stderr, with or without output buffering."""
     h2 = tmp_path / "h2.pgls"
     main(["build", "--q", "2", "--out", str(h2)])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        r = subprocess.run(
-            [sys.executable, "-m", "hexaudit", *(a.format(h2=h2) for a in argv)],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=30,
-        )
-    finally:
-        os.close(write_end)
+    r = _into_closed_pipe([a.format(h2=h2) for a in argv], unbuffered)
     assert (r.returncode, r.stderr) == (1, "")
 
 
+_ARGPARSE_OUTPUT = {"version": ["--version"], "help": ["--help"], "build-help": ["build", "--help"]}
+
+
 @pytest.mark.parametrize(
-    "argv", [["--version"], ["--help"], ["build", "--help"]], ids=["version", "help", "build-help"]
+    "argv, unbuffered",
+    [(a, False) for a in _ARGPARSE_OUTPUT.values()]
+    + [(a, True) for a in _ARGPARSE_OUTPUT.values()],
+    ids=[*_ARGPARSE_OUTPUT, *(f"{i}-unbuffered" for i in _ARGPARSE_OUTPUT)],
 )
-def test_closed_stdout_after_argparse_exits_1_quietly(argv):
+def test_closed_stdout_after_argparse_exits_1_quietly(argv, unbuffered):
     """What argparse prints itself before it exits also meets the closed
-    pipe in the flush: exit 1 and nothing on stderr.  Unbuffered, argparse
-    drops the write error and exits 0, so this runs buffered."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        r = subprocess.run(
-            [sys.executable, "-m", "hexaudit", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=30,
-        )
-    finally:
-        os.close(write_end)
-    assert (r.returncode, r.stderr) == (1, "")
-
-
-@pytest.mark.parametrize(
-    "argv", [["--version"], ["--help"], ["build", "--help"]], ids=["version", "help", "build-help"]
-)
-def test_closed_stdout_after_argparse_exits_1_quietly_unbuffered(argv):
-    """Unbuffered, the write itself meets the closed pipe, and argparse
-    would drop its error and exit 0: still exit 1 and nothing on stderr."""
-    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        r = subprocess.run(
-            [sys.executable, "-m", "hexaudit", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=30,
-        )
-    finally:
-        os.close(write_end)
+    pipe: exit 1 and nothing on stderr, buffered (in the flush) or
+    unbuffered (in the write, whose error argparse alone would drop)."""
+    r = _into_closed_pipe(argv, unbuffered)
     assert (r.returncode, r.stderr) == (1, "")
 
 
