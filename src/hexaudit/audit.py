@@ -71,28 +71,19 @@ _ALIASES = {
 }
 
 
-class AxiomConfig:
+class AxiomConfig(NamedTuple("AxiomConfig", [("names", frozenset)])):
     """Which intersection-number axioms the audit should check: a set of
     canonical names from ``AXIOM_ORDER``."""
 
-    __slots__ = ("names",)
+    __slots__ = ()
 
-    def __init__(self, names: frozenset = frozenset()):
+    def __new__(cls, names: frozenset = frozenset()):
         if not names:
             raise ValueError("at least one axiom flag must be set")
         unknown = names - set(AXIOM_ORDER)
         if unknown:
             raise ValueError(f"unknown axiom name: {min(unknown)!r}")
-        self.names = names
-
-    def __eq__(self, other):
-        return self.names == other.names if type(other) is AxiomConfig else NotImplemented
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def __repr__(self):
-        return f"AxiomConfig(names={self.names!r})"
+        return super().__new__(cls, names)
 
     @classmethod
     def all(cls) -> "AxiomConfig":
@@ -173,7 +164,6 @@ class AuditReport(NamedTuple):
     verdicts: dict
     witnesses: dict
     histograms: dict
-    dedup_scheme: str = DEDUP_SCHEME
 
     @property
     def passed(self) -> bool:
@@ -188,7 +178,7 @@ class AuditReport(NamedTuple):
                 "points": self.num_points,
                 "span_dim": self.span_dim,
             },
-            "dedup_scheme": self.dedup_scheme,
+            "dedup_scheme": DEDUP_SCHEME,
             "axioms": list(self.axioms),
             "verdicts": {a: self.verdicts[a] for a in self.axioms},
             "witnesses": {

@@ -85,7 +85,7 @@ def _load_nonempty(path: str):
 def cmd_audit(args) -> int:
     try:
         ls, text = _load_nonempty(args.infile)
-        if args.axioms:
+        if args.axioms is not None:
             cfg = AxiomConfig.from_names(args.axioms.split(","))
         else:
             cfg = AxiomConfig.all()

@@ -67,22 +67,17 @@ class LineSet:
     def span_dim(self) -> int:
         """Projective dimension of the span of all covered points.
 
-        The lines' rows are reduced one at a time against an echelon basis,
-        each row of it a 1 at its pivot and 0 before, in pivot order; the
-        reduction stops once the basis spans the whole space.
+        The lines' rows are reduced one at a time (``PG.reduce``) against an
+        echelon basis of normalized rows, kept in pivot order, which for them
+        is descending tuple order; the reduction stops at full rank.
         """
         space = self.space
-        mul, sub = space.gf.mul_table, space.gf.sub_table
-        basis: dict[int, tuple] = {}
+        basis: list[tuple] = []
         for row in (r for key in self.lines for r in key):
-            w = row
-            for p in sorted(basis):
-                if w[p]:
-                    mt = mul[w[p]]
-                    w = [sub[a][mt[b]] for a, b in zip(w, basis[p])]
+            w = space.reduce(row, basis)
             if any(w):
-                w = space.normalize(w)
-                basis[w.index(1)] = w
+                basis.append(space.normalize(w))
+                basis.sort(reverse=True)
                 if len(basis) == space.width:
                     break
         return len(basis) - 1

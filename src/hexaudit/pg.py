@@ -10,6 +10,9 @@ Conventions, fixed once for the whole package:
   subspace (projdim -1).
 * Enumeration order is lexicographic on the RREF matrix read row-major
   by integer element code, so all streams and file outputs are stable.
+* ``PG.reduce`` is the one row step of ``join``, ``Subspace.contains_vec``
+  and ``LineSet.span_dim``; ``rref`` and ``subspaces_through_rows`` keep
+  their own loops, which measured faster.
 """
 
 from __future__ import annotations
@@ -50,18 +53,7 @@ class Subspace:
 
     def contains_vec(self, v) -> bool:
         """True iff the vector lies in the row space of the basis."""
-        gf = self.space.gf
-        mul, sub = gf.mul_table, gf.sub_table
-        w = list(v)
-        for row in self.rows:
-            pc = next(j for j, x in enumerate(row) if x)
-            c = w[pc]
-            if c:
-                mt = mul[c]
-                for j in range(pc, len(w)):
-                    if row[j]:
-                        w[j] = sub[w[j]][mt[row[j]]]
-        return not any(w)
+        return not any(self.space.reduce(v, self.rows))
 
     def contains(self, other: "Subspace") -> bool:
         self.space.check_ambient(other.space)
@@ -153,6 +145,19 @@ class PG:
                 mt = gf.mul_table[gf.inv(x)]
                 return tuple(mt[c] for c in v)
         raise ValueError("cannot normalize the zero vector")
+
+    def reduce(self, w, rows):
+        """w minus, for each row in turn, w's entry at the row's pivot times
+        the row (w itself if no row touches it).  The rows lead with 1 in
+        echelon order, so the result is 0 at every pivot, and all 0 exactly
+        when w is in their span."""
+        sub, mul = self.gf.sub_table, self.gf.mul_table
+        for row in rows:
+            c = w[row.index(1)]
+            if c:
+                mt = mul[c]
+                w = [sub[a][mt[b]] for a, b in zip(w, row)]
+        return w
 
     def rref(self, rows) -> tuple[tuple[int, ...], ...]:
         """Canonical reduced row echelon form; zero rows are dropped."""
@@ -289,23 +294,18 @@ class PG:
         """Canonical basis of the line through the distinct points u and v,
         normalized tuples.
 
-        With equal pivots, v is first replaced by v - u, normalized, whose
-        pivot comes later.  Of two normalized points with pivots a < b,
-        the later one is already the second RREF row, and clearing column b
-        from the earlier one, the only row operation, gives the first.
+        With equal pivots, v is first replaced by v reduced by u, normalized,
+        whose pivot comes later.  Of two normalized points with pivots
+        a < b, the later one is already the second RREF row, and the earlier
+        one reduced by it, the only other row operation, is the first.
         """
         pu, pv = u.index(1), v.index(1)
         if pu == pv:
-            sub = self.gf.sub_table
-            v = self.normalize([sub[a][b] for a, b in zip(v, u)])
+            v = self.normalize(self.reduce(v, (u,)))
             pv = v.index(1)
         if pv < pu:
-            u, v, pv = v, u, pu
-        c = u[pv]
-        if c:
-            sub, mt = self.gf.sub_table, self.gf.mul_table[c]
-            u = tuple([sub[a][mt[b]] for a, b in zip(u, v)])
-        return (u, v)
+            u, v = v, u
+        return (tuple(self.reduce(u, (v,))), v)
 
     def line_basis(self, rows) -> tuple:
         """``rref(rows)``, by one ``join`` when the rows are two distinct

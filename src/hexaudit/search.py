@@ -33,14 +33,16 @@ TARGETS = ("pentagon", "span-lt-6", "any")
 GENERATOR_NAME = "python-random-mt19937"
 
 
-class SearchSpec:
-    """A search run's space, axioms, mode, seed, budget and target;
-    ``__slots__`` lists the fields in spec order."""
+class SearchSpec(NamedTuple("SearchSpec", [
+    ("n", int), ("q", int), ("axioms", AxiomConfig), ("mode", str),
+    ("seed", int), ("budget", int), ("target", str),
+])):
+    """A search run's space, axioms, mode, seed, budget and target."""
 
-    __slots__ = ("n", "q", "axioms", "mode", "seed", "budget", "target")
+    __slots__ = ()
 
-    def __init__(self, n: int, q: int, axioms: AxiomConfig, mode: str = "randomized-greedy",
-                 seed: int = 0, budget: int = 1000, target: str = "pentagon"):
+    def __new__(cls, n: int, q: int, axioms: AxiomConfig, mode: str = "randomized-greedy",
+                seed: int = 0, budget: int = 1000, target: str = "pentagon"):
         if n < 2:
             raise ValueError(f"n must be at least 2 for pencil moves, got {n}")
         if mode not in MODES:
@@ -49,20 +51,7 @@ class SearchSpec:
             raise ValueError(f"target must be one of {TARGETS}")
         if budget <= 0:
             raise ValueError("budget must be positive")
-        self.n, self.q, self.axioms, self.mode = n, q, axioms, mode
-        self.seed, self.budget, self.target = seed, budget, target
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is SearchSpec else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"SearchSpec({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+        return super().__new__(cls, n, q, axioms, mode, seed, budget, target)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
@@ -72,7 +61,7 @@ class SearchSpec:
         if not isinstance(d, dict):
             raise ValueError("a search spec must be a JSON object")
         for key, value in d.items():
-            if key not in cls.__slots__:
+            if key not in cls._fields:
                 raise ValueError(f"unknown key {key!r}")
             if key in ("n", "q", "seed", "budget") and type(value) is not int:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -82,8 +71,7 @@ class SearchSpec:
         return cls(**{**d, "axioms": AxiomConfig.from_names(d["axioms"])})
 
     def to_dict(self) -> dict:
-        d = dict(zip(self.__slots__, self._values()))
-        return {**d, "axioms": list(self.axioms.enabled())}
+        return {**self._asdict(), "axioms": list(self.axioms.enabled())}
 
 
 class SearchResult(NamedTuple):

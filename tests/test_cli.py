@@ -294,6 +294,14 @@ class TestAudit:
         assert main(["audit", "--in", str(h2_file), "--axioms", "Foo"]) == 2
         assert_one_error_line(capsys.readouterr().err, "unknown axiom name")
 
+    def test_audit_empty_axioms_is_usage_error(self, tmp_path, capsys):
+        """An empty ``--axioms`` names no axiom: refused, not read as all."""
+        one = tmp_path / "one.pgls"
+        one.write_text("PGLS 1\nn 3\nq 2\n1 0 0 0, 0 1 0 0\n")
+        assert main(["audit", "--in", str(one), "--axioms", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: unknown axiom name: ''\n"
+
     @pytest.mark.parametrize(
         "text, reason",
         [

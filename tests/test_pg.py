@@ -118,6 +118,43 @@ class TestRref:
         assert space.rref(shuffled) == rr
 
 
+# Spaces for ``reduce``; GF(4) exercises the extension-field tables.
+REDUCE_SPACES = [(3, 4), (4, 3), (5, 2)]
+
+
+def unreduced(space, rows, data):
+    """Echelon rows that lead with 1 but are not cleared above later pivots,
+    as ``LineSet.span_dim`` keeps them: each row plus drawn multiples of the
+    later rows."""
+    gf = space.gf
+    out = []
+    for i, row in enumerate(rows):
+        for later in rows[i + 1:]:
+            c = data.draw(st.integers(0, space.q - 1))
+            row = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(row, later))
+        out.append(row)
+    return tuple(out)
+
+
+class TestReduce:
+    """``reduce`` against ``rref``, for RREF rows and for echelon rows that
+    are only normalized."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(REDUCE_SPACES), cleared=st.booleans())
+    def test_reduce_against_rref(self, data, key, cleared):
+        space = projective_space(*key)
+        vec = st.lists(st.integers(0, space.q - 1), min_size=space.width, max_size=space.width)
+        rows = space.rref(data.draw(st.lists(vec, max_size=space.width)))
+        if not cleared:
+            rows = unreduced(space, rows, data)
+        w = tuple(data.draw(vec))
+        r = tuple(space.reduce(w, rows))
+        assert all(r[row.index(1)] == 0 for row in rows)
+        assert space.rref(rows + (w,)) == space.rref(rows + (r,))
+        assert (not any(r)) == (len(space.rref(rows + (w,))) == len(rows))
+
+
 def two_rref_nullspace(space, rows):
     """Referee: RREF the rows, put a basis vector on every free column,
     then RREF that basis."""
@@ -448,6 +485,26 @@ class TestTwoPointLines:
     def test_line_basis_is_rref_on_any_rows(self, rows):
         space = projective_space(3, 3)
         assert space.line_basis(rows) == space.rref(rows)
+
+
+class TestSpanDim:
+    @pytest.mark.parametrize("n,q", [(3, 4), (4, 3), (5, 2), (6, 2)])
+    def test_equals_rank_of_all_rows(self, n, q):
+        """Lines drawn inside random subspaces, so that spans below n occur
+        as well as the whole space."""
+        space = projective_space(n, q)
+        rng = random.Random(100 * n + q)
+        seen = set()
+        for _ in range(60):
+            pts = list(random_subspace(space, rng, n + 1).points())
+            if len(pts) < 2:
+                continue
+            lines = [space.join(*rng.sample(pts, 2)) for _ in range(rng.randrange(1, 6))]
+            ls = LineSet(space, lines, canonical=True)
+            want = len(space.rref([r for key in ls.lines for r in key])) - 1
+            assert ls.span_dim() == want
+            seen.add(want)
+        assert n in seen and any(d < n for d in seen)
 
 
 def brute_pencil(space, x, plane_rows):
