@@ -67,9 +67,10 @@ class LineSet:
     def span_dim(self) -> int:
         """Projective dimension of the span of all covered points.
 
-        The lines' rows are reduced one at a time (``PG.reduce``) against an
-        echelon basis of normalized rows, kept in pivot order, which for them
-        is descending tuple order; the reduction stops at full rank.
+        The lines' rows are reduced one at a time (``PG.reduce``) against
+        the basis so far, whose rows, normalized reductions in the order
+        found, are each 0 at the pivots of the rows before it; the
+        reduction stops at full rank.
         """
         space = self.space
         basis: list[tuple] = []
@@ -77,7 +78,6 @@ class LineSet:
             w = space.reduce(row, basis)
             if any(w):
                 basis.append(space.normalize(w))
-                basis.sort(reverse=True)
                 if len(basis) == space.width:
                     break
         return len(basis) - 1

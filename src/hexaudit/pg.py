@@ -148,9 +148,10 @@ class PG:
 
     def reduce(self, w, rows):
         """w minus, for each row in turn, w's entry at the row's pivot times
-        the row (w itself if no row touches it).  The rows lead with 1 in
-        echelon order, so the result is 0 at every pivot, and all 0 exactly
-        when w is in their span."""
+        the row (w itself if no row touches it).  Each row leads with 1 and
+        is 0 at the pivots of the rows before it, as in echelon order, so
+        the result is 0 at every pivot, and all 0 exactly when w is in the
+        rows' span."""
         sub, mul = self.gf.sub_table, self.gf.mul_table
         for row in rows:
             c = w[row.index(1)]

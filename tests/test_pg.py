@@ -123,22 +123,25 @@ REDUCE_SPACES = [(3, 4), (4, 3), (5, 2)]
 
 
 def unreduced(space, rows, data):
-    """Echelon rows that lead with 1 but are not cleared above later pivots,
-    as ``LineSet.span_dim`` keeps them: each row plus drawn multiples of the
-    later rows."""
+    """Rows as ``LineSet.span_dim`` keeps them, each leading with 1 and 0 at
+    the pivots of the rows before it, but neither in pivot order nor cleared
+    above its own pivot: the RREF rows in a drawn order, each plus drawn
+    multiples of the later rows whose pivot comes after its own."""
     gf = space.gf
+    rows = data.draw(st.permutations(rows))
     out = []
     for i, row in enumerate(rows):
         for later in rows[i + 1:]:
-            c = data.draw(st.integers(0, space.q - 1))
-            row = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(row, later))
+            if later.index(1) > row.index(1):
+                c = data.draw(st.integers(0, space.q - 1))
+                row = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(row, later))
         out.append(row)
     return tuple(out)
 
 
 class TestReduce:
-    """``reduce`` against ``rref``, for RREF rows and for echelon rows that
-    are only normalized."""
+    """``reduce`` against ``rref``, for RREF rows and for rows that are
+    only normalized and 0 at earlier pivots."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), key=st.sampled_from(REDUCE_SPACES), cleared=st.booleans())
