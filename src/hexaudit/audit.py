@@ -86,13 +86,13 @@ class AxiomConfig(NamedTuple("AxiomConfig", [("names", frozenset)])):
         return super().__new__(cls, names)
 
     @classmethod
-    def all(cls) -> "AxiomConfig":
-        return cls(frozenset(AXIOM_ORDER))
+    def _make(cls, iterable):
+        """Build through ``__new__``'s checks; ``_replace`` calls this too."""
+        return cls(*iterable)
 
     @classmethod
-    def main_theorem(cls) -> "AxiomConfig":
-        """(Pt), (Pl), (Sd), (4d), (Hp), (Hp'), (To): the exhaustive suite."""
-        return cls(frozenset(("Pt", "Pl", "Sd", "4d", "Hp", "Hp'", "To")))
+    def all(cls) -> "AxiomConfig":
+        return cls(frozenset(AXIOM_ORDER))
 
     @classmethod
     def from_names(cls, names) -> "AxiomConfig":

@@ -78,6 +78,11 @@ class GF:
             self.mul_table[a].index(1) for a in range(1, q)
         ]
 
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return self.inv_table[a]  # type: ignore[return-value]
+
     # -- raw coefficient arithmetic, used only to build the tables --
 
     def _digits(self, code: int) -> list[int]:
@@ -117,36 +122,6 @@ class GF:
                     for j in range(e):
                         prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
         return self._code(prod[: max(e, 1)])
-
-    # -- public scalar operations on integer codes --
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.sub_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.inv_table[a]  # type: ignore[return-value]
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul_table[r][a]
-            a = self.mul_table[a][a]
-            k >>= 1
-        return r
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q

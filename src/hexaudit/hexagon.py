@@ -21,7 +21,6 @@ aborts construction.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -118,11 +117,6 @@ def build(q: int) -> LineSet:
             f"H({q}) covers {len(ls.point_lines)} points, expected {expected}"
         )
     return ls
-
-
-@cache
-def build_cached(q: int) -> LineSet:
-    return build(q)
 
 
 class FlatFullReport(NamedTuple):

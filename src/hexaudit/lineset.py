@@ -49,9 +49,6 @@ class LineSet:
     def __contains__(self, rows) -> bool:
         return tuple(tuple(r) for r in rows) in self._keys
 
-    def degree(self, point_index: int) -> int:
-        return len(self.point_lines.get(point_index, ()))
-
     def line_through(self, a: int, b: int) -> int | None:
         """Id of the line of the set through the distinct points a and b, or None."""
         for li in self.point_lines.get(a, ()):
@@ -91,11 +88,6 @@ class LineSet:
             for li, key in enumerate(self.lines)
             if contains(key[0]) and contains(key[1])
         }
-
-    def restrict_to(self, sub: Subspace) -> "LineSet":
-        """The sub-line-set of lines fully contained in ``sub``."""
-        keep = [self.lines[li] for li in self.lines_in(sub)]
-        return LineSet(self.space, keep, canonical=True)
 
     def __eq__(self, other):
         return (

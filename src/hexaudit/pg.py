@@ -1,4 +1,4 @@
-"""Projective space PG(n, q): canonical subspaces, span/meet, enumeration.
+"""Projective space PG(n, q): canonical subspaces, nullspaces, enumeration.
 
 Conventions, fixed once for the whole package:
 
@@ -54,10 +54,6 @@ class Subspace:
     def contains_vec(self, v) -> bool:
         """True iff the vector lies in the row space of the basis."""
         return not any(self.space.reduce(v, self.rows))
-
-    def contains(self, other: "Subspace") -> bool:
-        self.space.check_ambient(other.space)
-        return all(self.contains_vec(r) for r in other.rows)
 
     def points(self):
         """Yield the projective points of the subspace, each exactly once.
@@ -260,35 +256,11 @@ class PG:
     def subspace(self, rows) -> Subspace:
         return Subspace(self, rows)
 
-    def point_subspace(self, point) -> Subspace:
-        return Subspace(self, (self.normalize(point),), canonical=True)
-
-    def empty_subspace(self) -> Subspace:
-        return Subspace(self, (), canonical=True)
-
     def whole_space(self) -> Subspace:
         rows = tuple(
             tuple(1 if j == i else 0 for j in range(self.width))
             for i in range(self.width)
         )
-        return Subspace(self, rows, canonical=True)
-
-    def span(self, a: Subspace, b: Subspace) -> Subspace:
-        self.check_ambient(a.space)
-        self.check_ambient(b.space)
-        return Subspace(self, a.rows + b.rows)
-
-    def meet(self, a: Subspace, b: Subspace) -> Subspace:
-        self.check_ambient(a.space)
-        self.check_ambient(b.space)
-        na = self.nullspace(a.rows)
-        nb = self.nullspace(b.rows)
-        return Subspace(self, self.nullspace(na + nb), canonical=True)
-
-    def line_through(self, p1, p2) -> Subspace:
-        rows = self.line_basis((p1, p2))
-        if len(rows) != 2:
-            raise ValueError("points do not span a line")
         return Subspace(self, rows, canonical=True)
 
     def join(self, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -367,11 +339,10 @@ class PG:
     def subspaces_through_rows(self, frows, d: int):
         """Canonical bases of all d-subspaces containing the RREF basis ``frows``.
 
-        Unsorted; the public wrapper sorts.  Each is ``frows`` plus the rows
-        of a subspace of the quotient space, on the columns that are not
-        pivots of ``frows``, lifted; only the pivot columns of the lifted
-        rows need clearing from the fixed rows -- no full Gaussian
-        elimination.
+        Unsorted.  Each is ``frows`` plus the rows of a subspace of the
+        quotient space, on the columns that are not pivots of ``frows``,
+        lifted; only the pivot columns of the lifted rows need clearing from
+        the fixed rows -- no full Gaussian elimination.
         """
         k = len(frows)
         r = d + 1 - k
@@ -403,12 +374,6 @@ class PG:
             tagged.sort(key=lambda t: t[0])
             out.append(tuple(tuple(row) for _, row in tagged))
         return out
-
-    def subspaces_through(self, f: Subspace, d: int):
-        """All d-subspaces containing ``f``, canonical, sorted."""
-        self.check_ambient(f.space)
-        mats = sorted(self.subspaces_through_rows(f.rows, d))
-        return [Subspace(self, rows, canonical=True) for rows in mats]
 
     def __repr__(self):
         return f"PG({self.n}, {self.q})"

@@ -50,9 +50,6 @@ class ParabolicQuadric:
         s = add[add[mul[v[0]][v[4]]][mul[v[1]][v[5]]]][mul[v[2]][v[6]]]
         return sub[s][mul[v[3]][v[3]]]
 
-    def on_quadric(self, point) -> bool:
-        return self.form(point) == 0
-
     def bilinear(self, x, y) -> int:
         gf = self.gf
         s = tuple(gf.add_table[a][b] for a, b in zip(x, y))

@@ -54,6 +54,11 @@ class SearchSpec(NamedTuple("SearchSpec", [
         return super().__new__(cls, n, q, axioms, mode, seed, budget, target)
 
     @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``'s checks; ``_replace`` calls this too."""
+        return cls(*iterable)
+
+    @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
         """Spec from a JSON object; unknown or missing keys, integer fields
         that are not JSON integers and axioms that are not a list of

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .gf import is_prime_power
-
 
 class SrgParams(NamedTuple("SrgParams", [("v", int), ("k", int), ("lam", int), ("mu", int)])):
     """Parameters (v, k, lambda, mu) that pass the basic feasibility checks."""
@@ -31,6 +29,11 @@ class SrgParams(NamedTuple("SrgParams", [("v", int), ("k", int), ("lam", int), (
         if mu > 0 and k * (k - lam - 1) != (v - k - 1) * mu:
             raise ValueError("parameter identity k(k-lam-1) = (v-k-1)mu violated")
         return super().__new__(cls, v, k, lam, mu)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``'s checks; ``_replace`` calls this too."""
+        return cls(*iterable)
 
 
 def eigenvalues(p: SrgParams) -> tuple[float, float]:
@@ -53,24 +56,6 @@ def eigenvalues_displayed_sign(p: SrgParams) -> tuple[float, float]:
     return -s, -r
 
 
-def is_conference(p: SrgParams) -> bool:
-    """Conference-graph parameters (4mu+1, 2mu, mu-1, mu)."""
-    mu = p.mu
-    return (p.v, p.k, p.lam, p.mu) == (4 * mu + 1, 2 * mu, mu - 1, mu)
-
-
-def integrality_feasible(p: SrgParams) -> bool:
-    """True iff p is conference-exempt or both eigenvalues are integers."""
-    if is_conference(p):
-        return True
-    d = p.lam - p.mu
-    disc = d * d + 4 * (p.k - p.mu)
-    r = math.isqrt(disc)
-    if r * r != disc:
-        return False
-    return (d + r) % 2 == 0
-
-
 def pencil_graph_params(q: int) -> SrgParams:
     """Parameters forced on the full-pencil-point graph of a 4-space."""
     return SrgParams(q * q + 2 * q + 2, q + 1, 0, 1)
@@ -90,12 +75,3 @@ def q_to_u(q: int) -> int | None:
         return None
     return (math.isqrt(1 + 4 * q) - 1) // 2
 
-
-def feasible_prime_powers(limit: int) -> list[int]:
-    """Prime powers q <= limit passing :func:`q_feasible` (expected: [2])."""
-    return [q for q in range(2, limit + 1) if is_prime_power(q) and q_feasible(q)]
-
-
-def local_count_check(v_observed: int, q: int) -> bool:
-    """Vertex count forced by girth 5, diameter 2, degree q+1."""
-    return v_observed == q * q + 2 * q + 2

@@ -1,6 +1,14 @@
+from functools import cache
+
 import pytest
 
-from hexaudit.hexagon import build_cached
+from hexaudit.hexagon import build
+
+
+@cache
+def build_cached(q: int):
+    """H(q), built once per test session."""
+    return build(q)
 
 
 @pytest.fixture(scope="session")

@@ -15,18 +15,15 @@ from hexaudit.audit import (
 )
 from hexaudit.cli import main
 from hexaudit.gf import is_prime_power
-from hexaudit.hexagon import build, build_cached, verify_flat_full
+from hexaudit.hexagon import build, verify_flat_full
 from hexaudit.lineset import LineSet
 from hexaudit.pg import projective_space
-from hexaudit.polygon import (
-    find_kgon,
-    girth_and_diameter,
-    hyperplane_consequence_check,
-    pentagon_span_check,
-)
+from hexaudit.polygon import find_kgon, girth_and_diameter
 from hexaudit.quadric import SectionType, parabolic_quadric
 from hexaudit.search import SearchSpec, run as run_search
-from hexaudit.srg import SrgParams, eigenvalues, is_conference, q_feasible
+from hexaudit.srg import SrgParams, eigenvalues, q_feasible
+from conftest import build_cached
+from lemmas import MAIN_THEOREM, hyperplane_consequence_check, is_conference, pentagon_span_check
 from referees import closure_counts
 
 CLASSIFY4_Q2 = {
@@ -62,7 +59,7 @@ def test_criterion_1_construction_counts():
 @pytest.mark.parametrize("q", [2, 3])
 def test_criterion_2_full_audit(q):
     ls = build_cached(q)
-    rep = audit(ls, AxiomConfig.main_theorem())
+    rep = audit(ls, MAIN_THEOREM)
     nonzero = lambda d: set(rep.histograms[d])  # noqa: E731
     ok = (
         rep.passed

@@ -29,15 +29,13 @@ from hexaudit.audit import (
 )
 from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset, dumps_report, report_document
-from hexaudit.hexagon import build, build_cached
+from hexaudit.hexagon import build
 from hexaudit.lineset import LineSet
 from hexaudit.pg import Subspace, gaussian_binomial, projective_space
-from hexaudit.polygon import (
-    expansion_bound,
-    girth_and_diameter,
-    hyperplane_consequence_check,
-)
+from hexaudit.polygon import girth_and_diameter
 from hexaudit.quadric import parabolic_quadric
+from conftest import build_cached
+from lemmas import MAIN_THEOREM, expansion_bound, hyperplane_consequence_check
 from referees import closure_counts
 
 # Benchmark goldens and inputs, read only: PGLS digests and report documents.
@@ -105,6 +103,14 @@ class TestAxiomConfig:
         with pytest.raises(ValueError, match="^at least one axiom flag must be set$"):
             AxiomConfig()
 
+    def test_replace_and_make_run_the_checks(self):
+        with pytest.raises(ValueError, match="^at least one axiom flag must be set$"):
+            AxiomConfig.all()._replace(names=frozenset())
+        with pytest.raises(ValueError, match="^unknown axiom name: 'Qt'$"):
+            AxiomConfig._make((frozenset({"Qt"}),))
+        cfg = AxiomConfig.all()._replace(names=frozenset({"Pt", "To"}))
+        assert cfg == AxiomConfig.from_names(["To", "Pt"]) and type(cfg) is AxiomConfig
+
     def test_value_semantics(self):
         """Equal configs compare and hash equal, so they work as dict keys."""
         a, b = AxiomConfig.from_names(["Pl", "pt"]), AxiomConfig(frozenset({"Pt", "Pl"}))
@@ -116,7 +122,7 @@ class TestAxiomConfig:
         assert AxiomConfig.all().enabled() == (
             "Pt", "Pl", "Sd", "Sd'", "4d", "Hp", "Hp'", "To", "6d",
         )
-        assert AxiomConfig.main_theorem().enabled() == (
+        assert MAIN_THEOREM.enabled() == (
             "Pt", "Pl", "Sd", "4d", "Hp", "Hp'", "To",
         )
 
@@ -167,7 +173,7 @@ class TestCountIn:
         assert len(h2.lines_in(plane)) == 3
 
     def test_empty_subspace(self, h2):
-        assert len(h2.lines_in(h2.space.empty_subspace())) == 0
+        assert len(h2.lines_in(Subspace(h2.space, (), canonical=True))) == 0
 
     def test_ambient_mismatch(self, h2):
         with pytest.raises(ValueError):
@@ -601,8 +607,7 @@ class TestExpansionBound:
         for li, key in enumerate(h2.lines):
             if li in plane_lines:
                 continue
-            lsub = space.subspace(key)
-            if space.meet(lsub, plane).projdim == 0:
+            if len(space.rref(key + plane.rows)) == len(plane.rows) + 1:
                 l = key
                 break
         assert l is not None
@@ -761,10 +766,10 @@ class TestControls:
         h = build_cached(q)
         extra = next(r for r in parabolic_quadric(q).isotropic_lines() if r not in h)
         swap = LineSet(h.space, h.lines[1:] + (extra,), canonical=True)
-        rep = audit(swap, AxiomConfig.main_theorem())
+        rep = audit(swap, MAIN_THEOREM)
         assert failed(rep) == {"Pt", "Pl", "Sd"}
         (point,) = rep.witnesses["Pt"]
-        assert swap.degree(swap.space.point_index[point]) != q + 1
+        assert len(swap.point_lines[swap.space.point_index[point]]) != q + 1
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_hexagon_embedded_in_a_larger_space(self, n):

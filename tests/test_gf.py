@@ -28,43 +28,48 @@ def test_unsupported_order():
 def test_field_axioms_exhaustive(q):
     """All field axioms, checked over every element (finite, so assertable)."""
     gf = field(q)
+    add, sub, neg, mul = gf.add_table, gf.sub_table, gf.neg_table, gf.mul_table
     els = range(q)
     for a in els:
-        assert gf.add(a, 0) == a
-        assert gf.mul(a, 1) == a
-        assert gf.mul(a, 0) == 0
-        assert gf.add(a, gf.neg(a)) == 0
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert mul[a][0] == 0
+        assert add[a][neg[a]] == 0
         if a:
-            assert gf.mul(a, gf.inv(a)) == 1
+            assert mul[a][gf.inv(a)] == 1
     for a, b in itertools.product(els, repeat=2):
-        assert gf.add(a, b) == gf.add(b, a)
-        assert gf.mul(a, b) == gf.mul(b, a)
+        assert add[a][b] == add[b][a]
+        assert mul[a][b] == mul[b][a]
+        assert sub[a][b] == add[a][neg[b]]
     for a, b, c in itertools.product(els, repeat=3):
-        assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
-        assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 @pytest.mark.parametrize("q", SUPPORTED)
 def test_frobenius_fixes_everything(q):
-    gf = field(q)
+    mul = field(q).mul_table
     for a in range(q):
-        assert gf.pow(a, q) == a
+        power = 1
+        for _ in range(q):
+            power = mul[power][a]
+        assert power == a
 
 
 def test_known_sums():
-    assert field(2).add(1, 1) == 0
-    assert field(3).add(2, 2) == 1
+    assert field(2).add_table[1][1] == 0
+    assert field(3).add_table[2][2] == 1
     # GF(4) with modulus x^2+x+1: x + (x+1) = 1, coefficientwise XOR.
-    assert field(4).add(2, 3) == 1
+    assert field(4).add_table[2][3] == 1
 
 
 def test_known_products():
-    assert field(2).mul(1, 1) == 1
+    assert field(2).mul_table[1][1] == 1
     # GF(4): x*x = x+1 is forced by the modulus.
-    assert field(4).mul(2, 2) == 3
+    assert field(4).mul_table[2][2] == 3
     # GF(9) with modulus x^2+1: x*x = -1 = 2.
-    assert field(9).mul(3, 3) == 2
+    assert field(9).mul_table[3][3] == 2
 
 
 def test_known_inverses():
@@ -73,7 +78,7 @@ def test_known_inverses():
     # Oracle: exhaustive multiplication table of GF(4).
     gf4 = field(4)
     table = {
-        (a, b): gf4.mul(a, b) for a in range(4) for b in range(4)
+        (a, b): gf4.mul_table[a][b] for a in range(4) for b in range(4)
     }
     oracle_inv = next(b for b in range(4) if table[(2, b)] == 1)
     assert oracle_inv == 3

@@ -145,11 +145,11 @@ class TestLinePredicate:
         non-isotropic line."""
         ls = request.getfixturevalue(fixture)
         quad = parabolic_quadric(ls.q)
-        gf = quad.gf
+        add, scale = quad.gf.add_table, quad.gf.mul_table[ls.q - 1]
 
         def skew(rows):
             x, y = rows
-            return (tuple(map(gf.add, x, y)), [gf.mul(gf.q - 1, c) for c in y])
+            return (tuple(add[a][b] for a, b in zip(x, y)), [scale[c] for c in y])
 
         for rows in ls.lines:
             assert quad.line_is_isotropic(skew(rows))

@@ -127,14 +127,14 @@ def unreduced(space, rows, data):
     the pivots of the rows before it, but neither in pivot order nor cleared
     above its own pivot: the RREF rows in a drawn order, each plus drawn
     multiples of the later rows whose pivot comes after its own."""
-    gf = space.gf
+    add, mul = space.gf.add_table, space.gf.mul_table
     rows = data.draw(st.permutations(rows))
     out = []
     for i, row in enumerate(rows):
         for later in rows[i + 1:]:
             if later.index(1) > row.index(1):
                 c = data.draw(st.integers(0, space.q - 1))
-                row = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(row, later))
+                row = tuple(add[a][mul[c][b]] for a, b in zip(row, later))
         out.append(row)
     return tuple(out)
 
@@ -190,7 +190,7 @@ class TestNullspace:
             [(0,) * w],  # a zero row only
             [(0,) * w, unit[1], (0,) * w],  # zero rows around a point
             [last, last, unit[0]],  # a repeated row
-            [unit[0], unit[2], list(map(space.gf.add, unit[0], unit[2]))],  # a sum
+            [unit[0], unit[2], [space.gf.add_table[a][b] for a, b in zip(unit[0], unit[2])]],  # a sum
             unit,  # full rank: the empty subspace
             unit[::-1] + [last],  # full rank, reversed, plus a dependent row
         ]
@@ -220,13 +220,13 @@ class TestNullspace:
 
     def test_orthogonality(self):
         space = projective_space(3, 3)
-        gf = space.gf
+        add, mul = space.gf.add_table, space.gf.mul_table
         rows = [(1, 2, 0, 1), (0, 1, 1, 2)]
         for v in space.nullspace(rows):
             for r in rows:
                 dot = 0
                 for a, b in zip(r, v):
-                    dot = gf.add(dot, gf.mul(a, b))
+                    dot = add[dot][mul[a][b]]
                 assert dot == 0
 
     def test_dimension(self):
@@ -306,7 +306,21 @@ def random_subspace(space, rng, max_rows):
     return Subspace(space, rows)
 
 
+def meet(space, a, b):
+    """The intersection of two subspaces: the nullspace of both
+    annihilators."""
+    rows = space.nullspace(space.nullspace(a.rows) + space.nullspace(b.rows))
+    return Subspace(space, rows, canonical=True)
+
+
+def contains(u, v):
+    return all(map(u.contains_vec, v.rows))
+
+
 class TestSpanMeet:
+    """The span is the RREF of both bases, and the meet the nullspace of
+    both annihilators."""
+
     @pytest.mark.parametrize("n,q", [(4, 2), (3, 3)])
     def test_modular_dimension_law(self, n, q):
         """dim span + dim meet == dim a + dim b, over random pairs."""
@@ -315,19 +329,19 @@ class TestSpanMeet:
         for _ in range(300):
             a = random_subspace(space, rng, n)
             b = random_subspace(space, rng, n)
-            sp = space.span(a, b)
-            mt = space.meet(a, b)
+            sp = space.subspace(a.rows + b.rows)
+            mt = meet(space, a, b)
             assert sp.projdim + mt.projdim == a.projdim + b.projdim
-            assert sp.contains(a) and sp.contains(b)
-            assert a.contains(mt) and b.contains(mt)
+            assert contains(sp, a) and contains(sp, b)
+            assert contains(a, mt) and contains(b, mt)
 
     def test_hyperplane_meets_every_line(self):
         """In PG(3,2) a plane meets each line in a point or contains it."""
         space = projective_space(3, 2)
         plane = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
         for line in space.enumerate_subspaces(1):
-            inter = space.meet(plane, line)
-            if plane.contains(line):
+            inter = meet(space, plane, line)
+            if contains(plane, line):
                 assert inter.rows == line.rows
             else:
                 assert inter.projdim == 0
@@ -336,18 +350,17 @@ class TestSpanMeet:
         space = projective_space(3, 2)
         a = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)])
         b = space.subspace([(0, 0, 1, 0), (0, 0, 0, 1)])
-        assert space.meet(a, b).projdim == -1
-        assert space.span(a, b).projdim == 3
+        assert meet(space, a, b).projdim == -1
+        assert space.subspace(a.rows + b.rows).projdim == 3
 
     def test_ambient_mismatch(self):
         s1 = projective_space(3, 2)
         s2 = projective_space(3, 3)
-        a = s1.subspace([(1, 0, 0, 0)])
-        b = s2.subspace([(1, 0, 0, 0)])
-        with pytest.raises(ValueError):
-            s1.span(a, b)
-        with pytest.raises(ValueError):
-            s1.meet(b, a)
+        s1.check_ambient(projective_space(3, 2))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            s1.check_ambient(s2)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            LineSet(s1, []).lines_in(s2.subspace([(1, 0, 0, 0)]))
 
 
 class TestMemo:
@@ -397,14 +410,14 @@ class TestRrefRowIndices:
 class TestLines:
     def test_line_through(self):
         space = projective_space(3, 3)
-        line = space.line_through((1, 0, 0, 0), (0, 1, 2, 0))
-        assert line.projdim == 1
-        with pytest.raises(ValueError):
-            space.line_through((1, 0, 0, 0), (2, 0, 0, 0))
+        assert len(space.line_basis(((1, 0, 0, 0), (0, 1, 2, 0)))) == 2
+        assert space.line_basis(((1, 0, 0, 0), (2, 0, 0, 0))) == ((1, 0, 0, 0),)
+        with pytest.raises(ValueError, match="not a line: projdim 0"):
+            LineSet(space, [((1, 0, 0, 0), (2, 0, 0, 0))])
 
     def test_line_point_indices(self):
         space = projective_space(3, 3)
-        line = space.line_through((1, 0, 0, 0), (0, 0, 1, 1))
+        line = space.subspace(((1, 0, 0, 0), (0, 0, 1, 1)))
         idx = space.line_point_indices(line.rows)
         assert len(idx) == space.q + 1
         assert list(idx) == sorted(set(idx))
@@ -419,8 +432,8 @@ LINE_SPACES = [(1, 2), (2, 4), (3, 3), (4, 5), (5, 4), (6, 2), (6, 3), (6, 4), (
 def sorted_line_points(space, rows):
     """Referee: y and every x + c*y, normalized, looked up and sorted."""
     x, y = rows
-    gf = space.gf
-    vecs = [y] + [tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(x, y)) for c in range(gf.q)]
+    add, mul = space.gf.add_table, space.gf.mul_table
+    vecs = [y] + [tuple(add[a][mul[c][b]] for a, b in zip(x, y)) for c in range(space.q)]
     return tuple(sorted(space.point_index[space.normalize(v)] for v in vecs))
 
 
@@ -456,18 +469,18 @@ class TestTwoPointLines:
         """Scaled, swapped or unreduced bases (a, b) = M (x, y), M any
         invertible 2x2 matrix, give the set of the canonical bases."""
         space = projective_space(*key)
-        gf = space.gf
-        element = st.integers(0, gf.q - 1)
+        add, sub, mul = space.gf.add_table, space.gf.sub_table, space.gf.mul_table
+        element = st.integers(0, space.q - 1)
         keys, bases = [], []
         for _ in range(data.draw(st.integers(1, 4))):
             x, y = space.join(*two_distinct_points(data, space))
             m = data.draw(
                 st.lists(element, min_size=4, max_size=4).filter(
-                    lambda m: gf.sub(gf.mul(m[0], m[3]), gf.mul(m[1], m[2]))
+                    lambda m: sub[mul[m[0]][m[3]]][mul[m[1]][m[2]]]
                 )
             )
             a, b = (
-                tuple(gf.add(gf.mul(s, xi), gf.mul(t, yi)) for xi, yi in zip(x, y))
+                tuple(add[mul[s][xi]][mul[t][yi]] for xi, yi in zip(x, y))
                 for s, t in (m[:2], m[2:])
             )
             keys.append((x, y))
@@ -533,54 +546,57 @@ class TestPencil:
 class TestSubspacesThrough:
     def test_count_matches_quotient_oracle(self):
         space = projective_space(4, 2)
-        line = space.line_through((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+        line = space.rref(((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)))
         for d in (2, 3, 4):
-            subs = space.subspaces_through(line, d)
+            mats = space.subspaces_through_rows(line, d)
             # Oracle: subspaces through a fixed k-space of PG(n,q) biject
             # with (d-k)-subspaces of the quotient PG(n-k-1, q).
             expected = gaussian_binomial(space.width - 2, d - 1, 2)
-            assert len(subs) == expected
-            for s in subs:
+            assert len(set(mats)) == len(mats) == expected
+            for rows in mats:
+                s = Subspace(space, rows, canonical=True)
                 assert s.projdim == d
-                assert s.contains(line)
+                assert all(map(s.contains_vec, line))
 
     def test_equals_filtered_enumeration(self):
         space = projective_space(4, 2)
-        point = space.point_subspace((0, 1, 0, 1, 1))
-        via_lift = {s.rows for s in space.subspaces_through(point, 2)}
+        point = (0, 1, 0, 1, 1)
+        via_lift = set(space.subspaces_through_rows((point,), 2))
         via_filter = {
             s.rows
             for s in space.enumerate_subspaces(2)
-            if s.contains(point)
+            if s.contains_vec(point)
         }
         assert via_lift == via_filter
 
     def test_canonical_and_sorted(self):
+        """Canonical bases, which sorted come in the enumeration's order."""
         space = projective_space(3, 3)
-        line = space.line_through((1, 0, 0, 1), (0, 1, 1, 0))
-        mats = [s.rows for s in space.subspaces_through(line, 2)]
-        assert mats == sorted(mats)
+        line = space.rref(((1, 0, 0, 1), (0, 1, 1, 0)))
+        mats = space.subspaces_through_rows(line, 2)
         for rows in mats:
             assert space.rref(rows) == rows
+        want = [s.rows for s in space.enumerate_subspaces(2) if all(map(s.contains_vec, line))]
+        assert sorted(mats) == want
 
     def test_bad_dimension_rejected(self):
         space = projective_space(3, 2)
-        line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+        line = space.rref(((1, 0, 0, 0), (0, 1, 0, 0)))
         with pytest.raises(ValueError):
-            space.subspaces_through(line, 1)
+            space.subspaces_through_rows(line, 1)
         with pytest.raises(ValueError):
-            space.subspaces_through(line, 4)
+            space.subspaces_through_rows(line, 4)
 
 
 class TestPlucker:
     def test_antisymmetry_and_diagonal(self):
         space = projective_space(3, 3)
-        line = space.line_through((1, 0, 2, 1), (0, 1, 1, 1))
+        line = space.subspace(((1, 0, 2, 1), (0, 1, 1, 1)))
         p = plucker(space, line)
         for i in range(4):
             assert p(i, i) == 0
             for j in range(4):
-                assert p(i, j) == space.gf.neg(p(j, i))
+                assert p(i, j) == space.gf.neg_table[p(j, i)]
 
     def test_basis_invariance(self):
         space = projective_space(3, 3)
@@ -588,14 +604,13 @@ class TestPlucker:
         x, y = (1, 0, 2, 1), (0, 1, 1, 1)
         p_ref = PluckerCoords(gf, x, y).vector()
         # Every other basis of the same line gives the same coordinates.
-        line = space.line_through(x, y)
-        pts = [space.points[i] for i in space.line_point_indices(line.rows)]
+        pts = [space.points[i] for i in space.line_point_indices(space.rref((x, y)))]
         for a, b in itertools.permutations(pts, 2):
             assert PluckerCoords(gf, a, b).vector() == p_ref
 
     def test_canonical_scaling(self):
         space = projective_space(2, 5)
-        p = plucker(space, space.line_through((1, 0, 3), (0, 1, 4)))
+        p = plucker(space, space.subspace(((1, 0, 3), (0, 1, 4))))
         vec = p.vector()
         assert next(x for x in vec if x) == 1
 
@@ -624,8 +639,8 @@ class TestSubspaceObject:
 
     def test_points_of_empty_point_and_plane(self):
         space = projective_space(3, 3)
-        assert list(space.empty_subspace().points()) == []
-        assert list(space.point_subspace((0, 2, 1, 0)).points()) == [(0, 1, 2, 0)]
+        assert list(Subspace(space, (), canonical=True).points()) == []
+        assert list(space.subspace([(0, 2, 1, 0)]).points()) == [(0, 1, 2, 0)]
         plane = space.subspace([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1)])
         want = [p for p in space.points if plane.contains_vec(p)]
         assert sorted(plane.points()) == want
@@ -642,7 +657,7 @@ class TestSubspaceObject:
 
     def test_empty_and_whole(self):
         space = projective_space(3, 2)
-        assert space.empty_subspace().projdim == -1
+        assert Subspace(space, (), canonical=True).projdim == -1
         whole = space.whole_space()
         assert whole.projdim == 3
         for p in space.points:

@@ -74,6 +74,15 @@ class TestSpec:
         assert spec.seed == 0
         assert spec.target == "pentagon"
 
+    def test_replace_and_make_run_the_checks(self):
+        spec = SearchSpec(4, 2, AxiomConfig.all())
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            spec._replace(budget=0)
+        with pytest.raises(ValueError, match="^n must be at least 2 for pencil moves, got 1$"):
+            SearchSpec._make((1,) + spec[1:])
+        again = spec._replace(seed=9)
+        assert again == SearchSpec(4, 2, AxiomConfig.all(), seed=9) and type(again) is SearchSpec
+
 
 PT_PL_SD = AxiomConfig.from_names(["Pt", "Pl", "Sd"])
 

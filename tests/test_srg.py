@@ -7,14 +7,11 @@ from hexaudit.srg import (
     SrgParams,
     eigenvalues,
     eigenvalues_displayed_sign,
-    feasible_prime_powers,
-    integrality_feasible,
-    is_conference,
-    local_count_check,
     pencil_graph_params,
     q_feasible,
     q_to_u,
 )
+from lemmas import feasible_prime_powers, integrality_feasible, is_conference, local_count_check
 
 
 def petersen_adjacency():
@@ -66,6 +63,14 @@ class TestParams:
         assert p == SrgParams(10, 3, 0, 1) and hash(p) == hash(SrgParams(10, 3, 0, 1))
         assert p != SrgParams(5, 2, 0, 1)
         assert repr(p) == "SrgParams(v=10, k=3, lam=0, mu=1)"
+
+    def test_replace_and_make_run_the_checks(self):
+        with pytest.raises(ValueError, match="^need k < v$"):
+            SrgParams._make((1, 5, 0, 0))
+        with pytest.raises(ValueError, match="^need mu <= k$"):
+            SrgParams(10, 3, 0, 1)._replace(mu=4)
+        p = SrgParams(10, 3, 0, 1)._replace(v=5, k=2)
+        assert p == SrgParams(5, 2, 0, 1) and type(p) is SrgParams
 
     def test_pencil_graph_params(self):
         assert pencil_graph_params(2) == SrgParams(10, 3, 0, 1)
