@@ -63,24 +63,40 @@ from .pg import gaussian_binomial
 
 DEDUP_SCHEME = "multiplicity-sum"
 
-AXIOM_ORDER = ("Pt", "Pl", "Sd", "Sd'", "4d", "Hp", "Hp'", "To", "6d")
+# The theorem's hypotheses, in report order.  A per-subspace axiom maps to
+# its dimension d and, as a function of q, the nonzero counts |L_U| it
+# allows on a d-subspace U; (Pt) is d = 0, the lines through a point.
+# ``c in allowed`` and ``max(allowed)`` work on the sets and the ranges.
+# (To) and (6d) map to None and a rule on the totals: q, the number of
+# lines and the dimension of their span.
+AXIOMS = {
+    "Pt": (0, lambda q: {q + 1}),
+    "Pl": (2, lambda q: {1, q + 1}),
+    "Sd": (3, lambda q: {1, q + 1, 2 * q + 1}),
+    "Sd'": (3, lambda q: range(1, 2 * q + 2)),
+    "4d": (4, lambda q: range(1, q**3 - q**2 + 4 * q + 1)),
+    "Hp": (5, lambda q: range(1, q**3 + 3 * q**2 + 3 * q + 1)),
+    "Hp'": (5, lambda q: range(1, q**4 - q**3 + 3 * q**2 + 2 * q + 1)),
+    "To": (None, lambda q, lines, span: lines <= (q**6 - 1) // (q - 1)),
+    "6d": (None, lambda q, lines, span: q > 3 or span >= 6),
+}
 
 _ALIASES = {
-    **{a.lower(): a for a in AXIOM_ORDER},
+    **{a.lower(): a for a in AXIOMS},
     "sdp": "Sd'", "sdprime": "Sd'", "hpp": "Hp'", "hpprime": "Hp'",
 }
 
 
 class AxiomConfig(NamedTuple("AxiomConfig", [("names", frozenset)])):
     """Which intersection-number axioms the audit should check: a set of
-    canonical names from ``AXIOM_ORDER``."""
+    canonical names from ``AXIOMS``."""
 
     __slots__ = ()
 
     def __new__(cls, names: frozenset = frozenset()):
         if not names:
             raise ValueError("at least one axiom flag must be set")
-        unknown = names - set(AXIOM_ORDER)
+        unknown = names - AXIOMS.keys()
         if unknown:
             raise ValueError(f"unknown axiom name: {min(unknown)!r}")
         return super().__new__(cls, names)
@@ -92,7 +108,7 @@ class AxiomConfig(NamedTuple("AxiomConfig", [("names", frozenset)])):
 
     @classmethod
     def all(cls) -> "AxiomConfig":
-        return cls(frozenset(AXIOM_ORDER))
+        return cls(frozenset(AXIOMS))
 
     @classmethod
     def from_names(cls, names) -> "AxiomConfig":
@@ -110,48 +126,32 @@ class AxiomConfig(NamedTuple("AxiomConfig", [("names", frozenset)])):
         return cls(frozenset(canonical))
 
     def enabled(self) -> tuple[str, ...]:
-        return tuple(a for a in AXIOM_ORDER if a in self.names)
+        return tuple(a for a in AXIOMS if a in self.names)
 
 
 def axiom_allowed(axiom: str, q: int):
-    """The nonzero counts one axiom allows: a set for (Pt), (Pl), (Sd), and
-    ``range(1, bound + 1)`` for (Sd'), (4d), (Hp), (Hp').  ``c in rule``
-    and ``max(rule)`` work on both shapes."""
-    if axiom == "Pt":
-        return {q + 1}
-    if axiom == "Pl":
-        return {1, q + 1}
-    if axiom == "Sd":
-        return {1, q + 1, 2 * q + 1}
-    if axiom == "Sd'":
-        return range(1, 2 * q + 2)
-    if axiom == "4d":
-        return range(1, q**3 - q**2 + 4 * q + 1)
-    if axiom == "Hp":
-        return range(1, q**3 + 3 * q**2 + 3 * q + 1)
-    if axiom == "Hp'":
-        return range(1, q**4 - q**3 + 3 * q**2 + 2 * q + 1)
-    raise ValueError(f"axiom {axiom!r} has no per-subspace count rule")
-
-
-_AXIOM_DIM = {"Pl": 2, "Sd": 3, "Sd'": 3, "4d": 4, "Hp": 5, "Hp'": 5}
+    """The nonzero counts one per-subspace axiom allows, from ``AXIOMS``."""
+    d, allowed = AXIOMS.get(axiom, (None, None))
+    if d is None:
+        raise ValueError(f"axiom {axiom!r} has no per-subspace count rule")
+    return allowed(q)
 
 
 def count_rules(cfg: AxiomConfig, q: int) -> dict:
     """The enabled per-subspace count rules by dimension, {d: {axiom: rule}},
-    in increasing d and in ``AXIOM_ORDER``."""
+    in increasing d and in report order; (Pt) is d = 0."""
     rules: dict = {}
     for a in cfg.enabled():
-        if a in _AXIOM_DIM:
-            rules.setdefault(_AXIOM_DIM[a], {})[a] = axiom_allowed(a, q)
+        d, allowed = AXIOMS[a]
+        if d is not None:
+            rules.setdefault(d, {})[a] = allowed(q)
     return dict(sorted(rules.items()))
 
 
 def rejected(rules: dict, top: int) -> frozenset:
     """The counts 1..top that some rule of ``rules`` rejects."""
-    return frozenset(
-        c for c in range(1, top + 1) if any(c not in r for r in rules.values())
-    )
+    counts = frozenset(range(1, top + 1))
+    return frozenset().union(*(counts.difference(r) for r in rules.values()))
 
 
 class AuditReport(NamedTuple):
@@ -534,65 +534,58 @@ def _check_pair_counts(ls: LineSet, d: int, hist: dict, meeting: int) -> None:
 
 
 def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
-    """Audit the enabled axioms, taking per-dimension counts from ``source``
-    and checking each histogram against ``_check_pair_counts``."""
+    """Audit the enabled axioms, taking the counts at d = 0, the lines
+    through each point, from ``LineSet.point_lines`` and those at d >= 2
+    from ``source``, checked by ``_check_pair_counts``."""
     if not ls.lines:
         raise ValueError("cannot audit an empty line set")
-    q = ls.q
-    report = AuditReport(
-        n=ls.n,
-        q=q,
-        num_lines=len(ls.lines),
-        num_points=len(ls.point_lines),
-        span_dim=ls.span_dim(),
-        axioms=cfg.enabled(),
-        verdicts={},
-        witnesses={},
-        histograms={},
-    )
+    q, nlines = ls.q, len(ls.lines)
+    rules = count_rules(cfg, q)
+    points, bad = ls.space.points, rejected(rules.get(0, {}), nlines)
+    degrees: Counter = Counter()
+    flagged_points = []
+    for pi, ids in ls.point_lines.items():
+        degrees[len(ids)] += 1
+        if len(ids) in bad:
+            flagged_points.append(((points[pi],), len(ids)))
     # Two lines share one point at most, so the pairs that meet are counted
     # once, at their common point.
-    meeting = sum(len(ids) * (len(ids) - 1) // 2 for ids in ls.point_lines.values())
-    if "Pt" in cfg.names:
-        hist: dict[int, int] = {}
-        for line_ids in ls.point_lines.values():
-            hist[len(line_ids)] = hist.get(len(line_ids), 0) + 1
-        report.histograms[0] = hist
-        bad_pts = sorted(
-            pi for pi, line_ids in ls.point_lines.items() if len(line_ids) != q + 1
-        )
-        report.verdicts["Pt"] = not bad_pts
-        report.witnesses["Pt"] = (
-            None if not bad_pts else (ls.space.points[bad_pts[0]],)
-        )
-    for d, rules in count_rules(cfg, q).items():
-        if d > ls.n:
-            # No such subspaces in this ambient space: vacuously satisfied.
-            for a in rules:
-                report.verdicts[a] = True
-                report.witnesses[a] = None
-            continue
-        hist, flagged = source(d, rejected(rules, len(ls.lines)))
-        _check_pair_counts(ls, d, hist, meeting)
-        report.histograms[d] = hist
-        for a, rule in rules.items():
-            hits = [rows for rows, c in flagged if c not in rule]
-            report.verdicts[a] = not hits
-            report.witnesses[a] = min(hits) if hits else None
-    if "To" in cfg.names:
-        bound = q**5 + q**4 + q**3 + q**2 + q + 1
-        report.verdicts["To"] = len(ls.lines) <= bound
-        report.witnesses["To"] = None
-    if "6d" in cfg.names:
-        report.verdicts["6d"] = q > 3 or report.span_dim >= 6
-        report.witnesses["6d"] = None
-    return report
+    meeting = sum(c * (c - 1) // 2 * m for c, m in degrees.items())
+    verdicts, witnesses, histograms = {}, {}, {}
+    for d, rs in rules.items():
+        flagged = []  # with d > n there are no d-subspaces: every rule holds
+        if d == 0:
+            histograms[0], flagged = dict(degrees), flagged_points
+        elif d <= ls.n:
+            hist, flagged = source(d, rejected(rs, nlines))
+            _check_pair_counts(ls, d, hist, meeting)
+            histograms[d] = hist
+        for a, allowed in rs.items():
+            hits = [rows for rows, c in flagged if c not in allowed]
+            verdicts[a] = not hits
+            witnesses[a] = min(hits, default=None)
+    span = ls.span_dim()
+    for a in cfg.enabled():
+        d, holds = AXIOMS[a]
+        if d is None:
+            verdicts[a], witnesses[a] = holds(q, nlines, span), None
+    return AuditReport(
+        n=ls.n,
+        q=q,
+        num_lines=nlines,
+        num_points=len(ls.point_lines),
+        span_dim=span,
+        axioms=cfg.enabled(),
+        verdicts=verdicts,
+        witnesses=witnesses,
+        histograms=histograms,
+    )
 
 
 def audit(ls: LineSet, cfg: AxiomConfig) -> AuditReport:
     """Audit the enabled axioms; verdicts, witnesses and count histograms.
 
-    Per-dimension counts come from the dual-hyperplane kernel; the (To)
+    Counts at d >= 2 come from the dual-hyperplane kernel; the (To)
     and (6d) verdicts come from the totals.
     """
     return _audit(ls, cfg, _DualCounts(ls))

@@ -16,7 +16,7 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .audit import AxiomConfig, audit
+from .audit import AXIOMS, AxiomConfig, audit
 from .errors import InternalConsistencyError
 from .formats import dump_lineset, dumps_report, load_lineset, report_document
 from .gf import MAX_Q, is_prime_power
@@ -203,7 +203,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("audit", help="audit a line-set file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--axioms", default=None, help="comma list, e.g. Pt,Pl,Sd (default: all)")
+    p.add_argument("--axioms", default=None, help=f"comma list of {','.join(AXIOMS)} (default: all)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_audit)
 

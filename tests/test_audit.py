@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hexaudit.audit as audit_module
 from hexaudit.audit import (
     _ALIASES,
-    _AXIOM_DIM,
-    AXIOM_ORDER,
+    AXIOMS,
     AxiomConfig,
     _audit,
     _bit_slices,
@@ -93,7 +92,7 @@ class TestAxiomConfig:
         for alias, name in _ALIASES.items():
             assert AxiomConfig.from_names([alias]).names == {name}
             assert AxiomConfig.from_names([alias.upper()]).enabled() == (name,)
-        assert set(_ALIASES.values()) == set(AXIOM_ORDER)
+        assert set(_ALIASES.values()) == set(AXIOMS)
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
@@ -128,34 +127,47 @@ class TestAxiomConfig:
 
 
 class TestAllowedCounts:
-    def test_sets_and_bounds(self):
-        q = 3
-        assert axiom_allowed("Pt", q) == {4}
-        assert axiom_allowed("Pl", q) == {1, 4}
-        assert axiom_allowed("Sd", q) == {1, 4, 7}
-        assert axiom_allowed("Sd'", q) == range(1, 7 + 1)
-        assert axiom_allowed("4d", q) == range(1, 27 - 9 + 12 + 1)
-        assert axiom_allowed("Hp", q) == range(1, 27 + 27 + 9 + 1)
-        assert axiom_allowed("Hp'", q) == range(1, 81 - 27 + 27 + 6 + 1)
+    @pytest.mark.parametrize(
+        "q, four_d, hp, hp_prime, total",
+        [(2, 12, 26, 24, 63), (3, 30, 63, 87, 364), (4, 64, 124, 248, 1365),
+         (5, 120, 215, 585, 3906)],
+        ids=["2", "3", "4", "5"],
+    )
+    def test_sets_and_bounds(self, q, four_d, hp, hp_prime, total):
+        """q**3 - q**2 + 4q, q**3 + 3q**2 + 3q, q**4 - q**3 + 3q**2 + 2q and
+        (q**6 - 1) / (q - 1), evaluated by hand."""
+        assert axiom_allowed("Pt", q) == {q + 1}
+        assert axiom_allowed("Pl", q) == {1, q + 1}
+        assert axiom_allowed("Sd", q) == {1, q + 1, 2 * q + 1}
+        assert axiom_allowed("Sd'", q) == range(1, 2 * q + 2)
+        assert axiom_allowed("4d", q) == range(1, four_d + 1)
+        assert axiom_allowed("Hp", q) == range(1, hp + 1)
+        assert axiom_allowed("Hp'", q) == range(1, hp_prime + 1)
         with pytest.raises(ValueError):
             axiom_allowed("To", q)
+        _, to = AXIOMS["To"]
+        assert to(q, total, 6) and not to(q, total + 1, 6)
+        _, six_d = AXIOMS["6d"]
+        assert six_d(q, total, 6) and six_d(q, total, 5) == (q > 3)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_every_subspace_rule_admits_one(self, q):
         """The dual kernel derives count 1 and never flags it."""
-        for axiom in _AXIOM_DIM:
-            assert 1 in axiom_allowed(axiom, q), axiom
+        for axiom, (d, allowed) in AXIOMS.items():
+            if d is not None and d >= 2:
+                assert 1 in allowed(q), axiom
 
 
     def test_count_rules_by_dimension(self):
         q = 2
         assert count_rules(AxiomConfig.all(), q) == {
+            0: {"Pt": {3}},
             2: {"Pl": {1, 3}},
             3: {"Sd": {1, 3, 5}, "Sd'": range(1, 6)},
             4: {"4d": range(1, 13)},
             5: {"Hp": range(1, 27), "Hp'": range(1, 25)},
         }
-        assert count_rules(AxiomConfig.from_names(["Pt", "To", "6d"]), q) == {}
+        assert count_rules(AxiomConfig.from_names(["Pt", "To", "6d"]), q) == {0: {"Pt": {3}}}
         rules = count_rules(AxiomConfig.from_names(["Sd", "Sd'"]), q)[3]
         assert rejected(rules, 7) == {2, 4, 6, 7}
 
@@ -709,6 +721,33 @@ def failed(rep):
     return {a for a, ok in rep.verdicts.items() if not ok}
 
 
+def lines_where(n, q, keep):
+    """The lines u of PG(n, q) with keep(u), from ``enumerate_subspaces``."""
+    space = projective_space(n, q)
+    rows = [u.rows for u in space.enumerate_subspaces(1) if keep(u)]
+    return LineSet(space, rows, canonical=True)
+
+
+def symplectic_quadrangle(q):
+    """W(q), q prime: the lines of PG(3, q) on which the symplectic form
+    x0y1 - x1y0 + x2y3 - x3y2 vanishes."""
+
+    def isotropic(u):
+        x, y = u.rows
+        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q == 0
+
+    return lines_where(3, q, isotropic)
+
+
+def parabolic_quadrangle(q):
+    """Q(4, q), q prime: the lines of PG(4, q) inside the quadric
+    x0x1 + x2x3 + x4^2 = 0."""
+    return lines_where(
+        4, q,
+        lambda u: all((p[0] * p[1] + p[2] * p[3] + p[4] ** 2) % q == 0 for p in u.points()),
+    )
+
+
 class TestControls:
     """Objects at the theorem's edges whose answers are known exactly."""
 
@@ -770,6 +809,56 @@ class TestControls:
         assert failed(rep) == {"Pt", "Pl", "Sd"}
         (point,) = rep.witnesses["Pt"]
         assert len(swap.point_lines[swap.space.point_index[point]]) != q + 1
+
+    def test_one_line_past_the_total_fails_to(self, h2):
+        """(To) allows (q^6 - 1) / (q - 1) lines: H(2) has exactly 63, and
+        H(2) with one more line of PG(6, 2) has 64."""
+        extra = next(u.rows for u in h2.space.enumerate_subspaces(1) if u.rows not in h2)
+        plus = LineSet(h2.space, h2.lines + (extra,), canonical=True)
+        total = AxiomConfig.from_names(["To"])
+        assert audit(h2, total).verdicts == {"To": True}
+        assert audit(plus, total).verdicts == {"To": False}
+        assert len(plus) == 64
+        assert failed(audit(plus, AxiomConfig.all())) == {"Pt", "Pl", "Sd", "Sd'", "To"}
+
+    @pytest.mark.parametrize("q, planes", [(2, {3: 15}), (3, {4: 40})])
+    def test_symplectic_quadrangle(self, q, planes):
+        """W(q) is flat: each plane of PG(3, q) holds exactly the q+1 lines
+        through its pole.  The solid holds all (q+1)(q^2+1) lines, which
+        (Sd) and (Sd') reject, and the span is 3, which (6d) rejects."""
+        w = symplectic_quadrangle(q)
+        cfg = AxiomConfig.all()
+        rep = audit(w, cfg)
+        assert len(w) == (q + 1) * (q**2 + 1)
+        assert failed(rep) == {"Sd", "Sd'", "6d"}
+        assert rep.histograms[2] == planes
+        solid = w.space.whole_space().rows
+        assert rep.witnesses == {a: None for a in cfg.enabled()} | {"Sd": solid, "Sd'": solid}
+        if q == 2:
+            assert rep.to_dict() == naive_audit(w, cfg).to_dict()
+
+    @pytest.mark.parametrize("q, planes", [(2, {2: 45, 1: 15}), (3, {2: 240, 1: 40})])
+    def test_parabolic_quadrangle(self, q, planes):
+        """Q(4, q) is not flat: the q+1 lines through a point are a cone over
+        a conic, and each two of them span a plane of two lines, which
+        (Pl) rejects.  A hyperbolic solid section holds 2q+2 lines, past
+        (Sd) and (Sd'); the whole PG(4, q) holds more than (4d) allows; and
+        the span is 4, which (6d) rejects."""
+        ql = parabolic_quadrangle(q)
+        cfg = AxiomConfig.all()
+        rep = audit(ql, cfg)
+        assert len(ql) == (q + 1) * (q**2 + 1)
+        assert failed(rep) == {"Pl", "Sd", "Sd'", "4d", "6d"}
+        assert rep.histograms[2] == planes
+        e = [unit(ql.space, i) for i in range(5)]
+        assert rep.witnesses == {a: None for a in cfg.enabled()} | {
+            "Pl": (e[1], e[2], e[3]),
+            "Sd": (e[0], e[1], e[2], e[3]),
+            "Sd'": (e[0], e[1], e[2], e[3]),
+            "4d": tuple(e),
+        }
+        if q == 2:
+            assert rep.to_dict() == naive_audit(ql, cfg).to_dict()
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_hexagon_embedded_in_a_larger_space(self, n):

@@ -287,6 +287,13 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err.startswith("internal consistency error: ") and err.count("\n") == 1
 
+    def test_audit_help_names_every_axiom(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "120")  # argparse wraps help to it
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--help"])
+        assert exc.value.code == 0
+        assert "Pt,Pl,Sd,Sd',4d,Hp,Hp',To,6d" in capsys.readouterr().out
+
     def test_audit_missing_file(self, capsys):
         assert main(["audit", "--in", "/nonexistent.pgls"]) == 2
 
