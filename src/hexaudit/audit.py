@@ -472,7 +472,8 @@ class _DualCounts:
         k = space.n - d
         nlines = len(self.ls.lines)
         if k == 0:
-            rows = space.whole_space().rows
+            w = space.width
+            rows = tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
             return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
@@ -495,10 +496,10 @@ class _DualCounts:
 def _naive_counts(ls: LineSet, d: int) -> dict:
     """The same map by testing every d-subspace of the space."""
     counts = {}
-    for sub in ls.space.enumerate_subspaces(d):
-        c = len(ls.lines_in(sub))
+    for rows in ls.space.enumerate_subspaces(d):
+        c = len(ls.lines_in(rows))
         if c:
-            counts[sub.rows] = c
+            counts[rows] = c
     return counts
 
 

@@ -51,11 +51,26 @@ def _check_writable(path: str) -> None:
 
 def _write_out(path: str, text: str) -> None:
     """Write a whole output checked by ``_check_writable`` ("-" is stdout)."""
-    if path == "-":
-        sys.stdout.write(text)
-    else:
+    if path != "-":
         sys.stdout.flush()  # lines printed before the output stay before it
         Path(path).write_text(text)
+    elif not hasattr(sys.stdout, "buffer"):  # a StringIO, in process
+        sys.stdout.write(text)
+    else:
+        # Through the binary layer until every byte is taken: an unbuffered
+        # stdout (PYTHONUNBUFFERED) writes raw, a pipe whose reader leaves
+        # takes a part, and the text layer would drop the rest unreported.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+        sys.stdout.buffer.flush()
+
+
+def _summary(path: str | None):
+    """Where a command prints its summary lines: stderr when its document
+    goes to stdout, so that the document stays whole."""
+    return sys.stderr if path in ("-", "/dev/stdout") else sys.stdout
 
 
 def cmd_build(args) -> int:
@@ -70,7 +85,7 @@ def cmd_build(args) -> int:
     _check_writable(args.out)
     ls = build(args.q)
     _write_out(args.out, dump_lineset(ls))
-    print(f"H({args.q}): {len(ls)} lines, {len(ls.point_lines)} points")
+    print(f"H({args.q}): {len(ls)} lines, {len(ls.point_lines)} points", file=_summary(args.out))
     return EXIT_OK
 
 
@@ -96,11 +111,12 @@ def cmd_audit(args) -> int:
     rep = audit(ls, cfg)
     doc = report_document("audit", rep.to_dict(), source_text=text)
     _write_out(args.out, dumps_report(doc))
+    summary = _summary(args.out)
     for a in rep.axioms:
         status = "pass" if rep.verdicts[a] else "FAIL"
-        print(f"{a}: {status}")
+        print(f"{a}: {status}", file=summary)
         if not rep.verdicts[a] and rep.witnesses.get(a) is not None:
-            print(f"  witness: {rep.witnesses[a]}")
+            print(f"  witness: {rep.witnesses[a]}", file=summary)
     return EXIT_OK if rep.passed else EXIT_VIOLATION
 
 
@@ -126,20 +142,22 @@ def cmd_classify4(args) -> int:
     if args.q not in (2, 3):
         print("error: classify4 supports q in {2, 3}", file=sys.stderr)
         return EXIT_USAGE
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     quad = parabolic_quadric(args.q)
     space = projective_space(6, args.q)
     hist: dict[str, int] = {}
-    for sub in space.enumerate_subspaces(4):
-        kind, _ = quad.classify_section(sub)
+    for rows in space.enumerate_subspaces(4):
+        kind, _ = quad.classify_section(rows)
         hist[kind.value] = hist.get(kind.value, 0) + 1
-    for kind in sorted(hist):
-        print(f"{kind}: {hist[kind]}")
-    print(f"total: {sum(hist.values())}")
-    if args.out:
-        doc = report_document("classify4", {"q": args.q, "histogram": dict(sorted(hist.items()))})
+    hist = dict(sorted(hist.items()))
+    if args.out is not None:
+        doc = report_document("classify4", {"q": args.q, "histogram": hist})
         _write_out(args.out, dumps_report(doc))
+    summary = _summary(args.out)
+    for kind, count in hist.items():
+        print(f"{kind}: {count}", file=summary)
+    print(f"total: {sum(hist.values())}", file=summary)
     return EXIT_OK
 
 
@@ -166,6 +184,9 @@ def cmd_srg(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if not args.out_prefix:
+        print("error: --out-prefix is empty", file=sys.stderr)
+        return EXIT_USAGE
     try:
         spec_doc = json.loads(Path(args.spec).read_text())
         spec = SearchSpec.from_dict(spec_doc)
@@ -173,7 +194,7 @@ def cmd_search(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    prefix = args.out_prefix or "search"
+    prefix = args.out_prefix
     _check_writable(prefix + ".lines")
     _check_writable(prefix + ".log")
     result = run_search(spec)
@@ -225,7 +246,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="run the line-set search harness")
     p.add_argument("--spec", required=True, help="JSON search spec file")
-    p.add_argument("--out-prefix", default=None)
+    p.add_argument("--out-prefix", default="search")
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -142,7 +142,7 @@ def verify_flat_full(ls: LineSet) -> FlatFullReport:
     degrees: dict[int, int] = {}
     for pi, line_ids in ls.point_lines.items():
         degrees[len(line_ids)] = degrees.get(len(line_ids), 0) + 1
-        if ls.pencil_span(pi).projdim > 2:
+        if len(ls.pencil_span(pi)) > 3:
             non_planar.append(pi)
     flat = not non_planar
     order = None

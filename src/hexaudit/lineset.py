@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .pg import PG, Subspace
+from .pg import PG
 
 
 class LineSet:
@@ -56,10 +56,9 @@ class LineSet:
                 return li
         return None
 
-    def pencil_span(self, point_index: int) -> Subspace:
-        """The span of the lines of the set through the point."""
-        rows = [r for li in self.point_lines[point_index] for r in self.lines[li]]
-        return self.space.subspace(rows)
+    def pencil_span(self, point_index: int) -> tuple:
+        """The RREF basis of the span of the lines of the set through the point."""
+        return self.space.rref(r for li in self.point_lines[point_index] for r in self.lines[li])
 
     def span_dim(self) -> int:
         """Projective dimension of the span of all covered points.
@@ -79,14 +78,15 @@ class LineSet:
                     break
         return len(basis) - 1
 
-    def lines_in(self, u: Subspace) -> set[int]:
-        """Ids of the lines of the set inside ``u``; |L_U| is its size."""
-        self.space.check_ambient(u.space)
-        contains = u.contains_vec
+    def lines_in(self, rows) -> set[int]:
+        """Ids of the lines of the set inside the subspace spanned by
+        ``rows``, any basis; |L_U| is its size."""
+        space = self.space
+        rows = space.rref(rows)
         return {
             li
-            for li, key in enumerate(self.lines)
-            if contains(key[0]) and contains(key[1])
+            for li, (x, y) in enumerate(self.lines)
+            if not any(space.reduce(x, rows)) and not any(space.reduce(y, rows))
         }
 
     def __eq__(self, other):

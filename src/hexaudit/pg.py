@@ -5,14 +5,16 @@ Conventions, fixed once for the whole package:
 * A projective point is a normalized coordinate tuple: the leftmost
   nonzero coordinate equals 1, giving a unique representative.
 * A subspace is the reduced row echelon form (RREF) of any basis matrix
-  of its underlying vector subspace; the RREF matrix is the canonical
-  key.  Projective dimension is ``rows - 1``; zero rows encode the empty
-  subspace (projdim -1).
+  of its underlying vector subspace, a tuple of row tuples; there is no
+  other subspace type.  ``rref`` makes it from any basis.  Projective
+  dimension is ``len(rows) - 1``; ``()`` is the empty subspace (projdim
+  -1), and the identity rows are the whole space.
 * Enumeration order is lexicographic on the RREF matrix read row-major
   by integer element code, so all streams and file outputs are stable.
-* ``PG.reduce`` is the one row step of ``join``, ``Subspace.contains_vec``
-  and ``LineSet.span_dim``; ``rref`` and ``subspaces_through_rows`` keep
-  their own loops, which measured faster.
+* ``PG.reduce`` is the one row step of ``join``, ``LineSet.lines_in`` and
+  ``LineSet.span_dim``: v lies in the subspace ``rows`` exactly when
+  ``not any(reduce(v, rows))``.  ``rref`` and ``subspaces_through_rows``
+  keep their own loops, which measured faster.
 """
 
 from __future__ import annotations
@@ -36,62 +38,6 @@ def gaussian_binomial(n_dim: int, k: int, q: int) -> int:
         num *= q ** (n_dim - i) - 1
         den *= q ** (k - i) - 1
     return num // den
-
-
-class Subspace:
-    """A projective subspace, canonically represented by its RREF basis."""
-
-    __slots__ = ("space", "rows")
-
-    def __init__(self, space: "PG", rows, *, canonical: bool = False):
-        self.space = space
-        self.rows = tuple(tuple(r) for r in rows) if canonical else space.rref(rows)
-
-    @property
-    def projdim(self) -> int:
-        return len(self.rows) - 1
-
-    def contains_vec(self, v) -> bool:
-        """True iff the vector lies in the row space of the basis."""
-        return not any(self.space.reduce(v, self.rows))
-
-    def points(self):
-        """Yield the projective points of the subspace, each exactly once.
-
-        They are the combinations of the rows by the points of PG(k-1, q).
-        A point's first nonzero coefficient is a 1, on a row whose pivot
-        column is 0 in every later row, so each combination leads with that
-        1 and is already normalized.
-        """
-        if not self.rows:
-            return
-        gf = self.space.gf
-        add, mul = gf.add_table, gf.mul_table
-        for coeffs in projective_space(len(self.rows) - 1, gf.q).points:
-            v = [0] * self.space.width
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    mt = mul[c]
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = add[v[j]][mt[x]]
-            yield tuple(v)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and other.space.key == self.space.key
-            and other.rows == self.rows
-        )
-
-    def __hash__(self):
-        return hash((self.space.key, self.rows))
-
-    def __lt__(self, other):
-        return self.rows < other.rows
-
-    def __repr__(self):
-        return f"Subspace(dim={self.projdim}, rows={self.rows})"
 
 
 # Bounds the point table before it is built: that of PG(6, 8), 299 593
@@ -125,10 +71,6 @@ class PG:
         self.key = (n, q)
         self._rref_rows: dict = {}
         self._rref_bases: dict = {}
-
-    def check_ambient(self, other: "PG") -> None:
-        if other.key != self.key:
-            raise ValueError(f"ambient mismatch: PG{self.key} vs PG{other.key}")
 
     # -- vectors --
 
@@ -253,16 +195,6 @@ class PG:
 
     # -- subspaces --
 
-    def subspace(self, rows) -> Subspace:
-        return Subspace(self, rows)
-
-    def whole_space(self) -> Subspace:
-        rows = tuple(
-            tuple(1 if j == i else 0 for j in range(self.width))
-            for i in range(self.width)
-        )
-        return Subspace(self, rows, canonical=True)
-
     def join(self, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical basis of the line through the distinct points u and v,
         normalized tuples.
@@ -330,11 +262,32 @@ class PG:
         return sorted(self.join(x, pts[z]) for z in line)
 
     def enumerate_subspaces(self, d: int):
-        """All d-dimensional subspaces, canonical, in lexicographic order."""
+        """The RREF bases of all d-dimensional subspaces, in lexicographic order."""
         if not 0 <= d <= self.n:
             raise ValueError(f"dimension {d} out of range for PG({self.n}, {self.q})")
-        for rows in self.rref_bases(d + 1):
-            yield Subspace(self, rows, canonical=True)
+        yield from self.rref_bases(d + 1)
+
+    def subspace_points(self, rows):
+        """Yield the points of the subspace with RREF basis ``rows``, each
+        exactly once (none for ``()``).
+
+        They are the combinations of the rows by the points of PG(k-1, q).
+        A point's first nonzero coefficient is a 1, on a row whose pivot
+        column is 0 in every later row, so each combination leads with that
+        1 and is already normalized.
+        """
+        if not rows:
+            return
+        add, mul = self.gf.add_table, self.gf.mul_table
+        for coeffs in projective_space(len(rows) - 1, self.q).points:
+            v = [0] * self.width
+            for c, row in zip(coeffs, rows):
+                if c:
+                    mt = mul[c]
+                    for j, x in enumerate(row):
+                        if x:
+                            v[j] = add[v[j]][mt[x]]
+            yield tuple(v)
 
     def subspaces_through_rows(self, frows, d: int):
         """Canonical bases of all d-subspaces containing the RREF basis ``frows``.

@@ -20,7 +20,7 @@ import enum
 from functools import cache
 
 from .errors import InternalConsistencyError
-from .pg import PG, Subspace, projective_space
+from .pg import PG, projective_space
 
 
 class SectionType(enum.Enum):
@@ -85,30 +85,30 @@ class ParabolicQuadric:
             self._iso_lines = tuple(sorted({rref(p) for p in pairs if self.bilinear(*p) == 0}))
         return self._iso_lines
 
-    def section_points(self, u: Subspace) -> list[tuple[int, ...]]:
-        return [p for p in u.points() if self.form(p) == 0]
+    def section_points(self, rows) -> list[tuple[int, ...]]:
+        """The quadric points of the subspace with RREF basis ``rows``."""
+        return [p for p in self.space.subspace_points(rows) if self.form(p) == 0]
 
-    def singular_radical(self, u: Subspace) -> Subspace:
-        """Vertex of the section cone: singular points of Q restricted to u.
+    def singular_radical(self, rows) -> tuple:
+        """Vertex of the section cone: the RREF basis of the singular points
+        of Q restricted to the subspace spanned by ``rows``.
 
         The bilinear radical is U ∩ U^⊥, the nullspace of the annihilator
         rows of U together with the polar rows of its basis; the vertex is
         the span of its points on which Q vanishes.
         """
         space = self.space
-        rad = space.nullspace(space.nullspace(u.rows) + tuple(map(self.polar, u.rows)))
-        singular = Subspace(space, rad, canonical=True).points()
-        return Subspace(space, [p for p in singular if self.form(p) == 0])
+        rad = space.nullspace(space.nullspace(rows) + tuple(map(self.polar, rows)))
+        return space.rref(p for p in space.subspace_points(rad) if self.form(p) == 0)
 
-    def classify_section(self, u: Subspace) -> tuple[SectionType, int]:
-        """Classify a 4-space section; returns (type, quadric point count)."""
-        self.space.check_ambient(u.space)
-        if u.projdim != 4:
-            raise ValueError(f"expected a 4-space, got projdim {u.projdim}")
+    def classify_section(self, rows) -> tuple[SectionType, int]:
+        """Classify the section by the 4-space with RREF basis ``rows``;
+        returns (type, quadric point count)."""
+        if len(rows) != 5 or any(len(r) != 7 for r in rows):
+            raise ValueError("expected the 5 rows of width 7 of a 4-space of PG(6, q)")
         q = self.gf.q
-        npoints = len(self.section_points(u))
-        rad = self.singular_radical(u)
-        rdim = rad.projdim
+        npoints = len(self.section_points(rows))
+        rdim = len(self.singular_radical(rows)) - 1
         if rdim == -1:
             if npoints != (q**4 - 1) // (q - 1):
                 raise InternalConsistencyError(

@@ -15,9 +15,9 @@ from typing import NamedTuple
 from hexaudit.audit import AxiomConfig, audit, axiom_allowed
 from hexaudit.gf import is_prime_power
 from hexaudit.lineset import LineSet
-from hexaudit.pg import Subspace
 from hexaudit.polygon import KGon, _kgons, find_kgon
 from hexaudit.srg import SrgParams, q_feasible
+from referees import contains
 
 # (Pt), (Pl), (Sd), (4d), (Hp), (Hp'), (To): the main theorem's hypotheses.
 MAIN_THEOREM = AxiomConfig(frozenset(("Pt", "Pl", "Sd", "4d", "Hp", "Hp'", "To")))
@@ -46,7 +46,7 @@ class PentagonSpanReport(NamedTuple):
     dim_is_4: bool
     at_least_5q: bool
     at_least_cubic_bound: bool
-    span: Subspace
+    span: tuple
 
 
 def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
@@ -61,13 +61,12 @@ def pentagon_span_check(ls: LineSet, gon: KGon) -> PentagonSpanReport:
         raise ValueError("not a pentagon of this line set")
     space = ls.space
     q = ls.q
-    rows = [space.points[v] for v in gon.vertices]
-    u = space.subspace(rows)
+    u = space.rref(space.points[v] for v in gon.vertices)
     count = len(ls.lines_in(u))
     return PentagonSpanReport(
-        dim_u=u.projdim,
+        dim_u=len(u) - 1,
         lines_in_u=count,
-        dim_is_4=u.projdim == 4,
+        dim_is_4=len(u) == 5,
         at_least_5q=count >= 5 * q,
         at_least_cubic_bound=count >= max(axiom_allowed("4d", q)) + 1,
         span=u,
@@ -87,21 +86,21 @@ def _pencil_plane_points(ls: LineSet, special: list[int]) -> dict[int, list[int]
     """Each full-pencil point -> the full-pencil points in its pencil plane."""
     pts = ls.space.points
     planes = {p: ls.pencil_span(p) for p in special}
-    return {p: [x for x in special if planes[p].contains_vec(pts[x])] for p in special}
+    return {p: [x for x in special if contains(ls.space, planes[p], pts[x])] for p in special}
 
 
-def qp1_points_on_line(ls: LineSet, u: Subspace, s) -> int:
+def qp1_points_on_line(ls: LineSet, u, s) -> int:
     """Number of points of the line with basis rows ``s`` whose pencil count
-    inside u is q+1."""
-    line = ls.space.subspace(s)
-    if not all(map(u.contains_vec, line.rows)):
+    inside the subspace spanned by ``u`` is q+1."""
+    space = ls.space
+    u, line = space.rref(u), space.rref(s)
+    if not all(contains(space, u, r) for r in line):
         raise ValueError("line is not contained in the subspace")
-    pts = ls.space.points
     special = _full_pencil_points(ls, ls.lines_in(u))
-    return sum(1 for p in special if line.contains_vec(pts[p]))
+    return sum(1 for p in special if contains(space, line, space.points[p]))
 
 
-def pencil_plane_qp1_bound(ls: LineSet, m: Subspace):
+def pencil_plane_qp1_bound(ls: LineSet, m):
     """For each full-pencil point P of m, count such points inside the
     pencil plane; the structural bound is q + 2.  Returns (ok, counts)."""
     planes = _pencil_plane_points(ls, _full_pencil_points(ls, ls.lines_in(m)))
@@ -121,8 +120,9 @@ class PentagonExtensionReport(NamedTuple):
         return not (self.violations_a or self.violations_b or self.violations_c)
 
 
-def pentagon_extension_check(ls: LineSet, u: Subspace) -> PentagonExtensionReport:
-    """Verify the pentagon-extension properties inside the 4-space ``u``:
+def pentagon_extension_check(ls: LineSet, u) -> PentagonExtensionReport:
+    """Verify the pentagon-extension properties inside the 4-space spanned
+    by ``u``:
 
     (a) a full-pencil point adjacent to a pentagon vertex shares a
         pentagon with it, (b) every full-pencil point is a pentagon
@@ -177,8 +177,9 @@ class ExpansionReport(NamedTuple):
     holds: bool
 
 
-def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
-    """Check the line-count expansion inequality for a line leaving ``m``.
+def expansion_bound(ls: LineSet, m, l) -> ExpansionReport:
+    """Check the line-count expansion inequality for a line leaving the
+    subspace m spanned by the rows ``m``.
 
     With L_M the lines inside m and l a line of L meeting m in exactly
     one point: if l meets no line of L_M, |L| >= q|L_M| + 1; if it meets
@@ -186,11 +187,12 @@ def expansion_bound(ls: LineSet, m: Subspace, l) -> ExpansionReport:
     |L| >= q|L_M| - alpha q^2 + alpha q + 1.
     """
     space = ls.space
+    m = space.rref(m)
     lrows = space.line_basis(l)
     if lrows not in ls:
         raise ValueError("l is not a line of the set")
     # l meets m in one point exactly when it adds one dimension to m's span.
-    if len(space.rref(lrows + m.rows)) != len(m.rows) + 1:
+    if len(space.rref(lrows + m)) != len(m) + 1:
         raise ValueError("l must meet the subspace in exactly one point")
     q = ls.q
     in_m = ls.lines_in(m)
@@ -210,7 +212,7 @@ class HyperplaneConsequenceReport(NamedTuple):
     vacuous: bool
     bound: int
     best_count: int | None
-    hyperplane: Subspace | None
+    hyperplane: tuple | None
     span_dim_at_most_6: bool
 
     @property
@@ -232,12 +234,11 @@ def hyperplane_consequence_check(ls: LineSet) -> HyperplaneConsequenceReport:
         return HyperplaneConsequenceReport(True, bound, None, None, sdim_ok)
     u = pentagon_span_check(ls, gon).span
     best, best_h = -1, None
-    if u.projdim < 5 <= ls.n:
-        for rows in sorted(ls.space.subspaces_through_rows(u.rows, 5)):
-            h = Subspace(ls.space, rows, canonical=True)
-            c = len(ls.lines_in(h))
+    if len(u) - 1 < 5 <= ls.n:
+        for rows in sorted(ls.space.subspaces_through_rows(u, 5)):
+            c = len(ls.lines_in(rows))
             if c > best:
-                best, best_h = c, h
+                best, best_h = c, rows
     return HyperplaneConsequenceReport(False, bound, best, best_h, sdim_ok)
 
 

@@ -1,5 +1,6 @@
 """Slow referees that only the tests call: the closure enumeration of the
-audit's counts and Plücker coordinates of a line.
+audit's counts and Plücker coordinates of a line; and, for a subspace given
+by its RREF rows, membership of a vector and the rows of the whole space.
 
 Plücker coordinates are stored for i < j; the signed accessor returns
 ``-p_ij`` when asked for ``p(j, i)``.  In characteristic 2 the sign is
@@ -12,7 +13,18 @@ from collections import Counter
 
 from hexaudit.gf import GF
 from hexaudit.lineset import LineSet
-from hexaudit.pg import PG, Subspace
+from hexaudit.pg import PG
+
+
+def contains(space: PG, rows, v) -> bool:
+    """True iff the vector v lies in the subspace with RREF basis ``rows``."""
+    return not any(space.reduce(v, rows))
+
+
+def whole_space(space: PG) -> tuple:
+    """The RREF basis of the whole space: the identity rows."""
+    w = space.width
+    return tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
 
 
 def closure_counts(ls: LineSet, d: int) -> Counter:
@@ -65,9 +77,9 @@ class PluckerCoords:
         return tuple(self.raw[key] for key in sorted(self.raw))
 
 
-def plucker(space: PG, line: Subspace) -> PluckerCoords:
-    """The Plücker coordinates of a line of ``space``."""
-    space.check_ambient(line.space)
-    if line.projdim != 1:
-        raise ValueError(f"expected a line, got projdim {line.projdim}")
-    return PluckerCoords(space.gf, line.rows[0], line.rows[1])
+def plucker(space: PG, rows) -> PluckerCoords:
+    """The Plücker coordinates of the line of ``space`` spanned by ``rows``."""
+    rows = space.rref(rows)
+    if len(rows) != 2:
+        raise ValueError(f"expected a line, got projdim {len(rows) - 1}")
+    return PluckerCoords(space.gf, *rows)

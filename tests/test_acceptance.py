@@ -83,10 +83,10 @@ def test_criterion_3_four_case_lemma(h2):
     }
     hist = {}
     ok = True
-    for sub in quad.space.enumerate_subspaces(4):
-        kind, _ = quad.classify_section(sub)
+    for rows in quad.space.enumerate_subspaces(4):
+        kind, _ = quad.classify_section(rows)
         hist[kind.value] = hist.get(kind.value, 0) + 1
-        if counts.get(sub.rows, 0) > bounds[kind]:
+        if counts.get(rows, 0) > bounds[kind]:
             ok = False
     ok = ok and hist == CLASSIFY4_Q2
     verdict(3, "four-case 4-space lemma", ok)

@@ -30,12 +30,12 @@ from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset, dumps_report, report_document
 from hexaudit.hexagon import build
 from hexaudit.lineset import LineSet
-from hexaudit.pg import Subspace, gaussian_binomial, projective_space
+from hexaudit.pg import gaussian_binomial, projective_space
 from hexaudit.polygon import girth_and_diameter
 from hexaudit.quadric import parabolic_quadric
 from conftest import build_cached
 from lemmas import MAIN_THEOREM, expansion_bound, hyperplane_consequence_check
-from referees import closure_counts
+from referees import closure_counts, contains, whole_space
 
 # Benchmark goldens and inputs, read only: PGLS digests and report documents.
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -174,22 +174,38 @@ class TestAllowedCounts:
 
 class TestCountIn:
     def test_whole_space(self, h2):
-        assert len(h2.lines_in(h2.space.whole_space())) == 63
+        assert len(h2.lines_in(whole_space(h2.space))) == 63
 
     def test_pencil_plane(self, h2):
         space = h2.space
         pi = next(iter(h2.point_lines))
         rows = [r for li in h2.point_lines[pi] for r in h2.lines[li]]
-        plane = space.subspace(rows)
-        assert plane.projdim == 2
-        assert len(h2.lines_in(plane)) == 3
+        assert len(space.rref(rows)) == 3
+        assert len(h2.lines_in(rows)) == 3
 
     def test_empty_subspace(self, h2):
-        assert len(h2.lines_in(Subspace(h2.space, (), canonical=True))) == 0
+        assert len(h2.lines_in(())) == 0
 
     def test_ambient_mismatch(self, h2):
-        with pytest.raises(ValueError):
-            h2.lines_in(projective_space(5, 2).whole_space())
+        with pytest.raises(ValueError, match="row width"):
+            h2.lines_in(whole_space(projective_space(5, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space_key=st.sampled_from([(3, 4), (4, 2), (4, 3)]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=14,
+        ),
+        rows=st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), max_size=6),
+    )
+    def test_any_basis_equals_its_rref(self, space_key, pairs, rows):
+        """Unnormalized, unreduced, repeated or zero rows: the ids of their
+        RREF."""
+        space = projective_space(*space_key)
+        rows = [[x % space.q for x in r[:space.width]] for r in rows]
+        ls = lineset_from_pairs(space_key, pairs)
+        assert ls.lines_in(rows) == ls.lines_in(space.rref(rows))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -210,8 +226,8 @@ class TestCountIn:
             if a % len(pts) != b % len(pts)
         }
         ls = LineSet(space, keys, canonical=True)
-        u = space.subspace([pts[i % len(pts)] for i in spanning])
-        inside = {space.point_index[p] for p in u.points()}
+        u = space.rref([pts[i % len(pts)] for i in spanning])
+        inside = {space.point_index[p] for p in space.subspace_points(u)}
         expected = {
             li for li, lpts in enumerate(ls.line_points) if set(lpts) <= inside
         }
@@ -270,8 +286,8 @@ class TestViolations:
     def test_full_plane_fails_pl(self):
         """All 7 lines of a plane of PG(3,2): plane count 7 not in {1, 3}."""
         space = projective_space(3, 2)
-        plane = space.subspace([unit(space, 0), unit(space, 1), unit(space, 2)])
-        pts = list(plane.points())
+        plane = space.rref([unit(space, 0), unit(space, 1), unit(space, 2)])
+        pts = list(space.subspace_points(plane))
         lines = set()
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
@@ -282,12 +298,12 @@ class TestViolations:
         assert not rep.passed
         witness = rep.witnesses["Pl"]
         assert witness is not None
-        assert len(ls.lines_in(space.subspace(witness))) == 7
+        assert len(ls.lines_in(witness)) == 7
 
     def test_witness_is_canonically_minimal(self):
         space = projective_space(3, 2)
-        plane = space.subspace([unit(space, 0), unit(space, 1), unit(space, 2)])
-        pts = list(plane.points())
+        plane = space.rref([unit(space, 0), unit(space, 1), unit(space, 2)])
+        pts = list(space.subspace_points(plane))
         lines = {space.rref((pts[i], pts[j])) for i in range(7) for j in range(i + 1, 7)}
         ls = LineSet(space, lines, canonical=True)
         rep = naive_audit(ls, AxiomConfig.from_names(["Pl"]))
@@ -540,7 +556,7 @@ def plant(space, kind, picks):
         # Three coplanar lines, no point on all three.
         return [space.rref(pair) for pair in ((x, y), (y, z), (x, z))]
     # "full-plane": every line of the plane.
-    on = list(Subspace(space, plane, canonical=True).points())
+    on = list(space.subspace_points(plane))
     return [space.rref(pair) for pair in itertools.combinations(on, 2)]
 
 
@@ -613,13 +629,13 @@ class TestExpansionBound:
         space = h2.space
         pi = next(iter(h2.point_lines))
         rows = [r for li in h2.point_lines[pi] for r in h2.lines[li]]
-        plane = space.subspace(rows)
+        plane = space.rref(rows)
         plane_lines = {li for li in h2.point_lines[pi]}
         l = None
         for li, key in enumerate(h2.lines):
             if li in plane_lines:
                 continue
-            if len(space.rref(key + plane.rows)) == len(plane.rows) + 1:
+            if len(space.rref(key + plane)) == len(plane) + 1:
                 l = key
                 break
         assert l is not None
@@ -631,16 +647,15 @@ class TestExpansionBound:
 
     def test_rejects_foreign_line(self, h2):
         space = h2.space
-        plane = space.subspace([unit(space, 0), unit(space, 1), unit(space, 2)])
+        plane = (unit(space, 0), unit(space, 1), unit(space, 2))
         with pytest.raises(ValueError):
             expansion_bound(h2, plane, (unit(space, 0), unit(space, 4)))
 
     def test_rejects_contained_line(self, h2):
         space = h2.space
         key = h2.lines[0]
-        m = space.subspace(key)
         with pytest.raises(ValueError):
-            expansion_bound(h2, m, key)
+            expansion_bound(h2, key, key)
 
 
 class TestHyperplaneConsequence:
@@ -660,7 +675,7 @@ class TestHyperplaneConsequence:
         assert not rep.vacuous
         assert rep.best_count == 5
         assert rep.hyperplane is not None
-        assert rep.hyperplane.projdim == 5
+        assert len(rep.hyperplane) == 6
         assert not rep.ok
         assert rep.span_dim_at_most_6
 
@@ -722,9 +737,10 @@ def failed(rep):
 
 
 def lines_where(n, q, keep):
-    """The lines u of PG(n, q) with keep(u), from ``enumerate_subspaces``."""
+    """The lines of PG(n, q) whose RREF rows pass ``keep(space, rows)``, from
+    ``enumerate_subspaces``."""
     space = projective_space(n, q)
-    rows = [u.rows for u in space.enumerate_subspaces(1) if keep(u)]
+    rows = [u for u in space.enumerate_subspaces(1) if keep(space, u)]
     return LineSet(space, rows, canonical=True)
 
 
@@ -732,8 +748,8 @@ def symplectic_quadrangle(q):
     """W(q), q prime: the lines of PG(3, q) on which the symplectic form
     x0y1 - x1y0 + x2y3 - x3y2 vanishes."""
 
-    def isotropic(u):
-        x, y = u.rows
+    def isotropic(space, u):
+        x, y = u
         return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q == 0
 
     return lines_where(3, q, isotropic)
@@ -744,7 +760,9 @@ def parabolic_quadrangle(q):
     x0x1 + x2x3 + x4^2 = 0."""
     return lines_where(
         4, q,
-        lambda u: all((p[0] * p[1] + p[2] * p[3] + p[4] ** 2) % q == 0 for p in u.points()),
+        lambda space, u: all(
+            (p[0] * p[1] + p[2] * p[3] + p[4] ** 2) % q == 0 for p in space.subspace_points(u)
+        ),
     )
 
 
@@ -813,7 +831,7 @@ class TestControls:
     def test_one_line_past_the_total_fails_to(self, h2):
         """(To) allows (q^6 - 1) / (q - 1) lines: H(2) has exactly 63, and
         H(2) with one more line of PG(6, 2) has 64."""
-        extra = next(u.rows for u in h2.space.enumerate_subspaces(1) if u.rows not in h2)
+        extra = next(u for u in h2.space.enumerate_subspaces(1) if u not in h2)
         plus = LineSet(h2.space, h2.lines + (extra,), canonical=True)
         total = AxiomConfig.from_names(["To"])
         assert audit(h2, total).verdicts == {"To": True}
@@ -832,7 +850,7 @@ class TestControls:
         assert len(w) == (q + 1) * (q**2 + 1)
         assert failed(rep) == {"Sd", "Sd'", "6d"}
         assert rep.histograms[2] == planes
-        solid = w.space.whole_space().rows
+        solid = whole_space(w.space)
         assert rep.witnesses == {a: None for a in cfg.enabled()} | {"Sd": solid, "Sd'": solid}
         if q == 2:
             assert rep.to_dict() == naive_audit(w, cfg).to_dict()
@@ -893,8 +911,8 @@ class TestPointAxiomReferee:
 
     @staticmethod
     def check(ls):
-        lines = [Subspace(ls.space, key, canonical=True) for key in ls.lines]
-        degrees = [sum(line.contains_vec(p) for line in lines) for p in ls.space.points]
+        space = ls.space
+        degrees = [sum(contains(space, key, p) for key in ls.lines) for p in space.points]
         hist: dict[int, int] = {}
         for c in filter(None, degrees):
             hist[c] = hist.get(c, 0) + 1

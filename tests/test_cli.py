@@ -9,7 +9,7 @@ import pytest
 import hexaudit.audit as audit_module
 from hexaudit import cli
 from hexaudit.cli import main
-from hexaudit.formats import load_lineset
+from hexaudit.formats import dump_lineset, load_lineset
 
 
 def run_cli(*args, cwd=None):
@@ -90,8 +90,51 @@ def test_out_to_dev_stdout_matches_dash(tmp_path):
     main(["build", "--q", "2", "--out", str(h2)])
     dash, dev = (run_cli("audit", "--in", str(h2), "--out", out) for out in ("-", "/dev/stdout"))
     assert dash.returncode == dev.returncode == 0
-    assert dev.stdout == dash.stdout and dev.stderr == ""
+    assert dev.stdout == dash.stdout and dev.stderr == dash.stderr
     assert dash.stdout.startswith("{")
+
+
+def test_document_on_stdout_stands_alone(tmp_path, capsys):
+    """With ``--out -`` stdout holds the document and nothing else, so that
+    ``build > h2.pgls`` can be audited; the summary lines go to stderr."""
+    assert main(["build", "--q", "2", "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert dump_lineset(load_lineset(out)) == out
+    assert err == "H(2): 63 lines, 63 points\n"
+    h2 = tmp_path / "h2.pgls"
+    h2.write_text(out)
+    assert main(["audit", "--in", str(h2), "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert all(json.loads(out)["verdicts"].values())
+    assert err.splitlines() == [f"{a}: pass" for a in json.loads(out)["axioms"]]
+    assert main(["classify4", "--q", "2", "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert sum(json.loads(out)["histogram"].values()) == 2667
+    assert err.endswith("total: 2667\n")
+
+
+@pytest.mark.parametrize("command", ["build", "audit", "classify4", "search"])
+def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    """An empty output path names no file: refused before the work, and
+    nothing written, not read as a default."""
+    h2, spec = tmp_path / "h2.pgls", tmp_path / "spec.json"
+    main(["build", "--q", "2", "--out", str(h2)])
+    spec.write_text(json.dumps({"n": 4, "q": 2, "axioms": ["Pt"], "budget": 5}))
+    argv, compute = {
+        "build": (["build", "--q", "2", "--out"], "build"),
+        "audit": (["audit", "--in", str(h2), "--out"], "audit"),
+        "classify4": (["classify4", "--q", "2", "--out"], "parabolic_quadric"),
+        "search": (["search", "--spec", str(spec), "--out-prefix"], "run_search"),
+    }[command]
+    must_not_compute(monkeypatch, compute)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([*argv, ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_error_line(err, "")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _into_closed_pipe(args, unbuffered):
@@ -134,6 +177,29 @@ def test_closed_stdout_exits_1_quietly(tmp_path, argv, unbuffered):
     h2 = tmp_path / "h2.pgls"
     main(["build", "--q", "2", "--out", str(h2)])
     r = _into_closed_pipe([a.format(h2=h2) for a in argv], unbuffered)
+    assert (r.returncode, r.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_leaving_mid_document_exits_1_quietly(unbuffered):
+    """A reader that takes one byte of the H(5) PGLS (113 KB, more than a
+    pipe holds) and leaves cuts the document: exit 1 and nothing on stderr.
+    Unbuffered, the write that the reader's exit cuts short takes a part of
+    the bytes and returns; the rest must still meet the closed pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    reader = subprocess.Popen([sys.executable, "-c", "import os; os.read(0, 1)"], stdin=read_end)
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "hexaudit", "build", "--q", "5", "--out", "-"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+        reader.wait(timeout=30)
     assert (r.returncode, r.stderr) == (1, "")
 
 
@@ -277,7 +343,9 @@ class TestAudit:
         )
         code = main(["audit", "--in", str(bad), "--axioms", "Pt", "--out", "-"])
         assert code == 1
-        assert "Pt: FAIL" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdicts"] == {"Pt": False}
+        assert "Pt: FAIL" in err
 
     def test_audit_internal_error_exits_1(self, h2_file, capsys, monkeypatch):
         """A kernel that overcounts makes the count-1 entry negative."""

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hexaudit.lineset import LineSet
 from hexaudit.pg import (
     PG,
-    Subspace,
     gaussian_binomial,
     projective_space,
 )
-from referees import PluckerCoords, plucker
+from referees import PluckerCoords, contains, plucker, whole_space
 
 
 def oracle_gaussian(n_dim, k, q):
@@ -81,10 +80,8 @@ class TestRref:
                 ]
                 rr = space.rref(rows)
                 assert space.rref(rr) == rr
-                sub = Subspace(space, rows)
                 for r in rows:
-                    if any(r):
-                        assert sub.contains_vec(r)
+                    assert contains(space, rr, r)
 
     def test_pivot_shape(self):
         space = projective_space(4, 3)
@@ -259,7 +256,7 @@ class TestEnumeration:
 
     def test_canonical_sorted_unique(self):
         space = projective_space(3, 3)
-        subs = [s.rows for s in space.enumerate_subspaces(1)]
+        subs = list(space.enumerate_subspaces(1))
         assert subs == sorted(set(subs))
         for rows in subs:
             assert space.rref(rows) == rows
@@ -299,22 +296,23 @@ class TestEnumeration:
 
 
 def random_subspace(space, rng, max_rows):
+    """The RREF basis of the span of up to ``max_rows`` random rows."""
     rows = [
         [rng.randrange(space.q) for _ in range(space.width)]
         for _ in range(rng.randrange(1, max_rows + 1))
     ]
-    return Subspace(space, rows)
+    return space.rref(rows)
 
 
 def meet(space, a, b):
     """The intersection of two subspaces: the nullspace of both
     annihilators."""
-    rows = space.nullspace(space.nullspace(a.rows) + space.nullspace(b.rows))
-    return Subspace(space, rows, canonical=True)
+    return space.nullspace(space.nullspace(a) + space.nullspace(b))
 
 
-def contains(u, v):
-    return all(map(u.contains_vec, v.rows))
+def includes(space, u, v):
+    """True iff the subspace v lies in the subspace u, both RREF bases."""
+    return all(contains(space, u, r) for r in v)
 
 
 class TestSpanMeet:
@@ -329,38 +327,36 @@ class TestSpanMeet:
         for _ in range(300):
             a = random_subspace(space, rng, n)
             b = random_subspace(space, rng, n)
-            sp = space.subspace(a.rows + b.rows)
+            sp = space.rref(a + b)
             mt = meet(space, a, b)
-            assert sp.projdim + mt.projdim == a.projdim + b.projdim
-            assert contains(sp, a) and contains(sp, b)
-            assert contains(a, mt) and contains(b, mt)
+            assert len(sp) + len(mt) == len(a) + len(b)
+            assert includes(space, sp, a) and includes(space, sp, b)
+            assert includes(space, a, mt) and includes(space, b, mt)
 
     def test_hyperplane_meets_every_line(self):
         """In PG(3,2) a plane meets each line in a point or contains it."""
         space = projective_space(3, 2)
-        plane = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        plane = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
         for line in space.enumerate_subspaces(1):
             inter = meet(space, plane, line)
-            if contains(plane, line):
-                assert inter.rows == line.rows
+            if includes(space, plane, line):
+                assert inter == line
             else:
-                assert inter.projdim == 0
+                assert len(inter) == 1
 
     def test_disjoint_meet_is_empty(self):
         space = projective_space(3, 2)
-        a = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)])
-        b = space.subspace([(0, 0, 1, 0), (0, 0, 0, 1)])
-        assert meet(space, a, b).projdim == -1
-        assert space.subspace(a.rows + b.rows).projdim == 3
+        a = ((1, 0, 0, 0), (0, 1, 0, 0))
+        b = ((0, 0, 1, 0), (0, 0, 0, 1))
+        assert meet(space, a, b) == ()
+        assert len(space.rref(a + b)) == 4
 
     def test_ambient_mismatch(self):
-        s1 = projective_space(3, 2)
-        s2 = projective_space(3, 3)
-        s1.check_ambient(projective_space(3, 2))
-        with pytest.raises(ValueError, match="ambient mismatch"):
-            s1.check_ambient(s2)
-        with pytest.raises(ValueError, match="ambient mismatch"):
-            LineSet(s1, []).lines_in(s2.subspace([(1, 0, 0, 0)]))
+        """A row tuple carries no space: only a basis of another width is
+        refused."""
+        space = projective_space(3, 2)
+        with pytest.raises(ValueError, match="row width"):
+            LineSet(space, []).lines_in([(1, 0, 0, 0, 0)])
 
 
 class TestMemo:
@@ -417,12 +413,12 @@ class TestLines:
 
     def test_line_point_indices(self):
         space = projective_space(3, 3)
-        line = space.subspace(((1, 0, 0, 0), (0, 0, 1, 1)))
-        idx = space.line_point_indices(line.rows)
+        line = space.rref(((1, 0, 0, 0), (0, 0, 1, 1)))
+        idx = space.line_point_indices(line)
         assert len(idx) == space.q + 1
         assert list(idx) == sorted(set(idx))
         for i in idx:
-            assert line.contains_vec(space.points[i])
+            assert contains(space, line, space.points[i])
 
 
 # Spaces for the two-point line properties: n <= 6, GF(4) among the fields.
@@ -512,7 +508,7 @@ class TestSpanDim:
         rng = random.Random(100 * n + q)
         seen = set()
         for _ in range(60):
-            pts = list(random_subspace(space, rng, n + 1).points())
+            pts = list(space.subspace_points(random_subspace(space, rng, n + 1)))
             if len(pts) < 2:
                 continue
             lines = [space.join(*rng.sample(pts, 2)) for _ in range(rng.randrange(1, 6))]
@@ -525,8 +521,7 @@ class TestSpanDim:
 
 def brute_pencil(space, x, plane_rows):
     """Referee: join x to every other point of the plane, reduce, dedupe."""
-    plane = Subspace(space, plane_rows, canonical=True)
-    return sorted({space.rref((x, y)) for y in plane.points() if y != x})
+    return sorted({space.rref((x, y)) for y in space.subspace_points(plane_rows) if y != x})
 
 
 class TestPencil:
@@ -554,18 +549,17 @@ class TestSubspacesThrough:
             expected = gaussian_binomial(space.width - 2, d - 1, 2)
             assert len(set(mats)) == len(mats) == expected
             for rows in mats:
-                s = Subspace(space, rows, canonical=True)
-                assert s.projdim == d
-                assert all(map(s.contains_vec, line))
+                assert len(rows) == d + 1
+                assert includes(space, rows, line)
 
     def test_equals_filtered_enumeration(self):
         space = projective_space(4, 2)
         point = (0, 1, 0, 1, 1)
         via_lift = set(space.subspaces_through_rows((point,), 2))
         via_filter = {
-            s.rows
-            for s in space.enumerate_subspaces(2)
-            if s.contains_vec(point)
+            rows
+            for rows in space.enumerate_subspaces(2)
+            if contains(space, rows, point)
         }
         assert via_lift == via_filter
 
@@ -576,7 +570,7 @@ class TestSubspacesThrough:
         mats = space.subspaces_through_rows(line, 2)
         for rows in mats:
             assert space.rref(rows) == rows
-        want = [s.rows for s in space.enumerate_subspaces(2) if all(map(s.contains_vec, line))]
+        want = [rows for rows in space.enumerate_subspaces(2) if includes(space, rows, line)]
         assert sorted(mats) == want
 
     def test_bad_dimension_rejected(self):
@@ -591,8 +585,7 @@ class TestSubspacesThrough:
 class TestPlucker:
     def test_antisymmetry_and_diagonal(self):
         space = projective_space(3, 3)
-        line = space.subspace(((1, 0, 2, 1), (0, 1, 1, 1)))
-        p = plucker(space, line)
+        p = plucker(space, ((1, 0, 2, 1), (0, 1, 1, 1)))
         for i in range(4):
             assert p(i, i) == 0
             for j in range(4):
@@ -610,7 +603,7 @@ class TestPlucker:
 
     def test_canonical_scaling(self):
         space = projective_space(2, 5)
-        p = plucker(space, space.subspace(((1, 0, 3), (0, 1, 4))))
+        p = plucker(space, ((1, 0, 3), (0, 1, 4)))
         vec = p.vector()
         assert next(x for x in vec if x) == 1
 
@@ -621,44 +614,42 @@ class TestPlucker:
 
     def test_non_line_rejected(self):
         space = projective_space(3, 2)
-        plane = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        plane = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
         with pytest.raises(ValueError):
             plucker(space, plane)
 
 
 class TestSubspaceObject:
+    """A subspace is its RREF row tuple: ``subspace_points`` against the
+    points that ``reduce`` puts inside it, and tuple equality."""
+
     def test_points_of_subspace(self):
         space = projective_space(4, 3)
-        sub = space.subspace([(1, 0, 0, 1, 2), (0, 1, 1, 0, 0), (0, 0, 1, 1, 1)])
-        pts = list(sub.points())
-        k = sub.projdim + 1
-        assert len(pts) == (3**k - 1) // 2
-        assert len(set(pts)) == len(pts)
-        for p in pts:
-            assert sub.contains_vec(p)
+        sub = space.rref([(1, 0, 0, 1, 2), (0, 1, 1, 0, 0), (0, 0, 1, 1, 1)])
+        pts = list(space.subspace_points(sub))
+        assert len(pts) == (3 ** len(sub) - 1) // 2
+        assert sorted(pts) == [p for p in space.points if contains(space, sub, p)]
 
     def test_points_of_empty_point_and_plane(self):
         space = projective_space(3, 3)
-        assert list(Subspace(space, (), canonical=True).points()) == []
-        assert list(space.subspace([(0, 2, 1, 0)]).points()) == [(0, 1, 2, 0)]
-        plane = space.subspace([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1)])
-        want = [p for p in space.points if plane.contains_vec(p)]
-        assert sorted(plane.points()) == want
+        assert list(space.subspace_points(())) == []
+        assert list(space.subspace_points(space.rref([(0, 2, 1, 0)]))) == [(0, 1, 2, 0)]
+        plane = space.rref([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1)])
+        want = [p for p in space.points if contains(space, plane, p)]
+        assert sorted(space.subspace_points(plane)) == want
         assert len(want) == 13
 
     def test_eq_hash_order(self):
         space = projective_space(3, 2)
-        a = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)])
-        b = space.subspace([(0, 1, 0, 0), (1, 0, 0, 0)])
-        c = space.subspace([(1, 0, 0, 0), (0, 0, 1, 0)])
+        a = space.rref([(1, 0, 0, 0), (0, 1, 0, 0)])
+        b = space.rref([(0, 1, 0, 0), (1, 0, 0, 0)])
+        c = space.rref([(1, 0, 0, 0), (0, 0, 1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != c
-        assert sorted([c, a]) in ([a, c], [c, a])
 
     def test_empty_and_whole(self):
         space = projective_space(3, 2)
-        assert Subspace(space, (), canonical=True).projdim == -1
-        whole = space.whole_space()
-        assert whole.projdim == 3
-        for p in space.points:
-            assert whole.contains_vec(p)
+        assert space.rref([(0, 0, 0, 0)]) == ()
+        whole = whole_space(space)
+        assert space.rref_bases(space.width) == (whole,)
+        assert list(space.subspace_points(whole)) == space.points

@@ -19,6 +19,7 @@ from lemmas import (
     pentagon_span_check,
     qp1_points_on_line,
 )
+from referees import contains, whole_space
 
 
 def unit(space, i):
@@ -90,9 +91,9 @@ class TestLineSetPrimitives:
     def test_pencil_span_is_the_pencil_plane(self, h2):
         for p, line_ids in h2.point_lines.items():
             span = h2.pencil_span(p)
-            assert span.projdim == 2
+            assert len(span) == 3 and h2.space.rref(span) == span
             for li in line_ids:
-                assert all(map(span.contains_vec, h2.lines[li]))
+                assert all(contains(h2.space, span, r) for r in h2.lines[li])
 
 
 class TestFindKGon:
@@ -349,7 +350,7 @@ class TestPentagonSpan:
         # The fixture is far below the structural thresholds on purpose.
         assert not rep.at_least_5q
         assert not rep.at_least_cubic_bound
-        assert rep.span.projdim == 4
+        assert len(rep.span) == 5
 
     def test_rejects_non_pentagon(self, pentagon_ls, h2):
         gon = find_kgon(h2, 6)
@@ -364,7 +365,7 @@ class TestFullPencilCounts:
     def test_two_pencil_line_counts(self, two_pencil_ls):
         ls = two_pencil_ls
         space = ls.space
-        u = space.whole_space()
+        u = whole_space(space)
         a = space.point_index[unit(space, 0)]
         b = space.point_index[unit(space, 1)]
         assert len(ls.point_lines[a]) == len(ls.point_lines[b]) == 3
@@ -377,16 +378,14 @@ class TestFullPencilCounts:
     def test_line_outside_subspace_rejected(self, two_pencil_ls):
         ls = two_pencil_ls
         space = ls.space
-        solid = space.subspace(
-            [unit(space, 0), unit(space, 1), unit(space, 2), unit(space, 3)]
-        )
+        solid = (unit(space, 0), unit(space, 1), unit(space, 2), unit(space, 3))
         outside = (unit(space, 0), unit(space, 4))
         with pytest.raises(ValueError):
             qp1_points_on_line(ls, solid, outside)
 
     def test_pencil_plane_bound(self, two_pencil_ls):
         ls = two_pencil_ls
-        ok, counts = pencil_plane_qp1_bound(ls, ls.space.whole_space())
+        ok, counts = pencil_plane_qp1_bound(ls, whole_space(ls.space))
         assert ok
         a = ls.space.point_index[unit(ls.space, 0)]
         b = ls.space.point_index[unit(ls.space, 1)]
@@ -396,7 +395,7 @@ class TestFullPencilCounts:
 
 class TestPentagonExtension:
     def test_refuses_axiom_violating_set(self, pentagon_ls):
-        u = pentagon_ls.space.whole_space()
+        u = whole_space(pentagon_ls.space)
         with pytest.raises(ValueError):
             pentagon_extension_check(pentagon_ls, u)
 
@@ -421,7 +420,7 @@ class TestPentagonExtension:
         pairs = [(e[i], e[(i + 1) % 5]) for i in range(5)]
         pairs += [(e[0], x), (x, e[2]), (x, e[3])]
         pairs += [(x, (0, 0, 0, 1, 1)), ((1, 0, 1, 0, 0), (0, 0, 0, 1, 1))]
-        rep = pentagon_extension_check(LineSet(space, pairs), space.whole_space())
+        rep = pentagon_extension_check(LineSet(space, pairs), whole_space(space))
         assert (rep.num_pentagons, rep.num_special_points) == (3, 4)
         assert rep.violations_a == [(2, 0), (2, 1), (2, 8)]
         assert rep.violations_b == [2]
@@ -451,8 +450,8 @@ def pentagon_plus(pairs):
 def subspace_from_points(space, picks):
     """The whole space if ``picks`` is empty, else the span of those points."""
     if not picks:
-        return space.whole_space()
-    return space.subspace([space.points[i % len(space.points)] for i in picks])
+        return whole_space(space)
+    return space.rref([space.points[i % len(space.points)] for i in picks])
 
 
 # SHA-256 of the outputs of ``pinned_outputs`` on the set of
@@ -511,7 +510,7 @@ class TestPentagonChecksAgainstReference:
         pairs += [(e[0], x), (x, e[2]), (x, e[3])]
         pairs += [(x, (0, 0, 0, 1, 1)), ((1, 0, 1, 0, 0), (0, 0, 0, 1, 1))]
         ls = LineSet(space, pairs)
-        assert pinned_outputs(ls, [space.whole_space()]) == SMALL_SET_SHA256
+        assert pinned_outputs(ls, [whole_space(space)]) == SMALL_SET_SHA256
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dense_seeded_sets(self, seed):
@@ -521,4 +520,4 @@ class TestPentagonChecksAgainstReference:
         rng = random.Random(seed)
         ls = pentagon_plus([(rng.randrange(31), rng.randrange(31)) for _ in range(24)])
         solid = subspace_from_points(ls.space, [rng.randrange(31) for _ in range(4)])
-        assert pinned_outputs(ls, [ls.space.whole_space(), solid]) == DENSE_SET_SHA256[seed]
+        assert pinned_outputs(ls, [whole_space(ls.space), solid]) == DENSE_SET_SHA256[seed]
