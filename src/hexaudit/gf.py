@@ -123,12 +123,6 @@ class GF:
                         prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
         return self._code(prod[: max(e, 1)])
 
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("GF", self.q))
-
     def __repr__(self):
         return f"GF({self.q})"
 

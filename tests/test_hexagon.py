@@ -99,6 +99,19 @@ class TestPlaneConstruction:
         with pytest.raises(InternalConsistencyError, match="non-hexagon line"):
             build(2)
 
+    def test_line_built_twice_build_raises(self, monkeypatch):
+        """A line built twice, in place of another, is dropped by the set,
+        and the line count falls short."""
+        pencil = hexagon_module._lines_through
+
+        def twice(quad, x):
+            lines = pencil(quad, x)
+            return lines[:-1] + lines[:1]
+
+        monkeypatch.setattr(hexagon_module, "_lines_through", twice)
+        with pytest.raises(InternalConsistencyError, match="produced .* lines, expected 63"):
+            build(2)
+
     def test_h5(self):
         """H(5): counts, and the PGLS bytes recorded from the isotropic-line
         filter that built H(q) before the plane construction."""

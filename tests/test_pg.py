@@ -406,8 +406,8 @@ class TestRrefRowIndices:
 class TestLines:
     def test_line_through(self):
         space = projective_space(3, 3)
-        assert len(space.line_basis(((1, 0, 0, 0), (0, 1, 2, 0)))) == 2
-        assert space.line_basis(((1, 0, 0, 0), (2, 0, 0, 0))) == ((1, 0, 0, 0),)
+        assert len(space.rref(((1, 0, 0, 0), (0, 1, 2, 0)))) == 2
+        assert space.rref(((1, 0, 0, 0), (2, 0, 0, 0))) == ((1, 0, 0, 0),)
         with pytest.raises(ValueError, match="not a line: projdim 0"):
             LineSet(space, [((1, 0, 0, 0), (2, 0, 0, 0))])
 
@@ -440,8 +440,20 @@ def two_distinct_points(data, space):
     return space.points[i], space.points[j]
 
 
+def eliminated(space, rows):
+    """Referee: ``rref`` of the rows plus a zero row, the same span, which
+    takes elimination rather than the two-point ``join``."""
+    return space.rref(list(rows) + [(0,) * space.width])
+
+
+def combine(space, s, x, t, y):
+    """The vector s*x + t*y."""
+    add, mul = space.gf.add_table, space.gf.mul_table
+    return tuple(add[mul[s][a]][mul[t][b]] for a, b in zip(x, y))
+
+
 class TestTwoPointLines:
-    """``join`` and ``line_point_indices`` against ``rref`` and the
+    """``join`` and ``line_point_indices`` against elimination and the
     normalize-and-sort definition."""
 
     @settings(max_examples=300, deadline=None)
@@ -449,8 +461,8 @@ class TestTwoPointLines:
     def test_join_equals_rref(self, data, key):
         space = projective_space(*key)
         u, v = two_distinct_points(data, space)
-        assert space.join(u, v) == space.rref((u, v))
-        assert space.join(v, u) == space.rref((u, v))
+        assert space.join(u, v) == eliminated(space, (u, v))
+        assert space.join(v, u) == eliminated(space, (u, v))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), key=st.sampled_from(LINE_SPACES))
@@ -463,9 +475,10 @@ class TestTwoPointLines:
     @given(data=st.data(), key=st.sampled_from(LINE_SPACES))
     def test_lineset_from_any_basis(self, data, key):
         """Scaled, swapped or unreduced bases (a, b) = M (x, y), M any
-        invertible 2x2 matrix, give the set of the canonical bases."""
+        invertible 2x2 matrix, give the sorted distinct canonical bases,
+        and each such basis is found by ``in``."""
         space = projective_space(*key)
-        add, sub, mul = space.gf.add_table, space.gf.sub_table, space.gf.mul_table
+        sub, mul = space.gf.sub_table, space.gf.mul_table
         element = st.integers(0, space.q - 1)
         keys, bases = [], []
         for _ in range(data.draw(st.integers(1, 4))):
@@ -475,13 +488,29 @@ class TestTwoPointLines:
                     lambda m: sub[mul[m[0]][m[3]]][mul[m[1]][m[2]]]
                 )
             )
-            a, b = (
-                tuple(add[mul[s][xi]][mul[t][yi]] for xi, yi in zip(x, y))
-                for s, t in (m[:2], m[2:])
-            )
+            a, b = (combine(space, s, x, t, y) for s, t in (m[:2], m[2:]))
             keys.append((x, y))
             bases.append((list(a), b))
-        assert LineSet(space, bases) == LineSet(space, keys, canonical=True)
+        ls = LineSet(space, bases)
+        assert ls.lines == tuple(sorted(set(keys)))
+        assert all(basis in ls for basis in bases)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(LINE_SPACES))
+    def test_contains_any_basis_of_a_member(self, data, key):
+        """``in`` finds a member line (x, y) given as (y, x), as scaled
+        rows and as (x, x + y), and refuses a line through x that is not
+        a member."""
+        space = projective_space(*key)
+        x, y = space.join(*two_distinct_points(data, space))
+        s, t = data.draw(st.lists(st.integers(1, space.q - 1), min_size=2, max_size=2))
+        ls = LineSet(space, [(x, y)])
+        assert (y, x) in ls
+        assert (combine(space, s, x, 0, y), combine(space, 0, x, t, y)) in ls
+        assert (x, combine(space, 1, x, 1, y)) in ls
+        p = space.points[data.draw(st.integers(0, len(space.points) - 1))]
+        if len(space.rref((x, y, p))) == 3:
+            assert (x, p) not in ls
 
     @pytest.mark.parametrize(
         "rows",
@@ -495,8 +524,24 @@ class TestTwoPointLines:
         ],
     )
     def test_line_basis_is_rref_on_any_rows(self, rows):
+        """Rows that are not two distinct points skip ``rref``'s join and
+        get the basis that elimination gives."""
         space = projective_space(3, 3)
-        assert space.line_basis(rows) == space.rref(rows)
+        assert space.rref(rows) == eliminated(space, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from([(3, 3), (4, 4), (5, 2)]))
+    def test_rref_of_two_rows_equals_elimination(self, data, key):
+        """Any two rows, a second row that is a multiple of the first
+        among them, through ``rref``'s join and through elimination."""
+        space = projective_space(*key)
+        vec = st.lists(st.integers(0, space.q - 1), min_size=space.width, max_size=space.width)
+        u = data.draw(vec)
+        if data.draw(st.booleans()):
+            v = combine(space, data.draw(st.integers(0, space.q - 1)), u, 0, u)
+        else:
+            v = data.draw(vec)
+        assert space.rref([u, v]) == eliminated(space, [u, v])
 
 
 class TestSpanDim:
@@ -512,7 +557,7 @@ class TestSpanDim:
             if len(pts) < 2:
                 continue
             lines = [space.join(*rng.sample(pts, 2)) for _ in range(rng.randrange(1, 6))]
-            ls = LineSet(space, lines, canonical=True)
+            ls = LineSet(space, lines)
             want = len(space.rref([r for key in ls.lines for r in key])) - 1
             assert ls.span_dim() == want
             seen.add(want)
@@ -520,8 +565,9 @@ class TestSpanDim:
 
 
 def brute_pencil(space, x, plane_rows):
-    """Referee: join x to every other point of the plane, reduce, dedupe."""
-    return sorted({space.rref((x, y)) for y in space.subspace_points(plane_rows) if y != x})
+    """Referee: join x to every other point of the plane, reduce by
+    elimination, dedupe."""
+    return sorted({eliminated(space, (x, y)) for y in space.subspace_points(plane_rows) if y != x})
 
 
 class TestPencil:
@@ -629,6 +675,23 @@ class TestSubspaceObject:
         pts = list(space.subspace_points(sub))
         assert len(pts) == (3 ** len(sub) - 1) // 2
         assert sorted(pts) == [p for p in space.points if contains(space, sub, p)]
+
+    def test_points_of_any_basis(self):
+        """A basis that is not in RREF gives the points of its RREF, each
+        normalized: the two rows of a line of PG(2, 3) and random bases."""
+        space = projective_space(2, 3)
+        rows = ((1, 1, 0), (1, 0, 0))
+        assert list(space.subspace_points(rows)) == [(0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)]
+        rng = random.Random(25)
+        for n, q in ((2, 3), (3, 4), (4, 3), (5, 2)):
+            space = projective_space(n, q)
+            for _ in range(40):
+                rows = [
+                    [rng.randrange(q) for _ in range(n + 1)] for _ in range(rng.randrange(1, n + 2))
+                ]
+                pts = list(space.subspace_points(rows))
+                assert pts == list(space.subspace_points(space.rref(rows)))
+                assert all(p in space.point_index for p in pts)
 
     def test_points_of_empty_point_and_plane(self):
         space = projective_space(3, 3)

@@ -36,7 +36,7 @@ def lineset_from_pairs(space_key, pairs):
         a, b = a % len(pts), b % len(pts)
         if a != b:
             keys.add(space.rref((pts[a], pts[b])))
-    return LineSet(space, keys, canonical=True)
+    return LineSet(space, keys)
 
 
 @pytest.fixture(scope="module")
