@@ -30,18 +30,26 @@ process:
   from one mask per count value, so the row costs no Python work per
   hyperplane; when the row is short for the prefix, the AND and popcount
   run over it in C instead, as they do when there is one row (d = n-1).
-* The canonical basis of U, the nullspace of the annihilator rows, is
-  computed only for subspaces whose count violates an axiom; the
-  byte-minimal one is the witness.
+* An axiom's witness is the byte-minimal canonical basis among the
+  subspaces whose counts it rejects.  A larger first pivot P1, the
+  leading column of the basis's first row, always gives a byte-smaller
+  basis, so the witness lies among the rejected U of the largest P1, and
+  only those get a basis: the nullspace of U's annihilator rows.  P1 is
+  the number of leading annihilator rows that are the unit vectors e_0,
+  e_1, ...: U lies in x_0 = ... = x_{c-1} = 0 exactly when e_0 .. e_{c-1}
+  are in the annihilator's span, and an RREF row with pivot i < c is then
+  e_i itself.
 * Planes (d = 2) skip the walk.  Two lines of a plane meet, so
   every plane of c >= 2 lines is spanned by the C(c, 2) pairs of lines
   through a common point, each counted at that point; H[l] & H[m], the
   hyperplanes through the pair's plane, is the plane's key, and c follows
   from the pairs per key.  Each line of such a plane is in c - 1 of its
   pairs, so the pairs holding the key's first line give c again, and the
-  two counts must agree.  A flagged plane's basis is the RREF of two of
-  its lines.  The keys are kept until all pairs are counted: one int of
-  a bit per hyperplane for each plane of two or more lines.
+  two counts must agree.  A flagged plane's P1 is the smaller first
+  pivot of two of its lines, and its basis, where one is needed, the
+  RREF of those two lines.  The keys are kept until all pairs are
+  counted: one int of a bit per hyperplane for each plane of two or more
+  lines.
 
 The naive full enumeration of all d-subspaces (``naive_audit``) and the
 tests' closure enumeration (every d-subspace through every line) are
@@ -197,10 +205,11 @@ class AuditReport(NamedTuple):
 
 
 # -- count sources --
-# A count source is called as ``source(d, bad)`` and returns the
-# histogram {|L_U|: number of U} over the d-subspaces U meeting L, plus
-# (canonical basis of U, |L_U|) for at least every U whose count is in
-# ``bad``.
+# A count source is called as ``source(d, bad)`` and returns three things:
+# the histogram {|L_U|: number of U} over the d-subspaces U meeting L;
+# (P1, handle, |L_U|) for at least every U whose count is in ``bad``, P1
+# being the first pivot of U's canonical basis; and the function that
+# turns a handle into that basis.
 
 # How the last annihilator row is completed for a prefix of p lines and a
 # row of F hyperplanes: p < CROWDED_LINES marks the hyperplanes seen once
@@ -322,6 +331,12 @@ class _DualCounts:
         return out
 
     @cached_property
+    def identity(self) -> tuple:
+        """The unit vectors e_0 .. e_n, the whole space's canonical basis."""
+        w = self.ls.space.width
+        return tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
+
+    @cached_property
     def line_hyperplanes(self) -> list[int]:
         """H[l], the bitmask of the hyperplanes containing line l."""
         space = self.ls.space
@@ -364,14 +379,14 @@ class _DualCounts:
         return planes
 
     def _planes(self, bad: frozenset):
-        """Counts >= 2 at d = 2 and the flagged planes' bases, from
-        ``_meeting_planes``: two lines of a plane meet, so a plane of c >= 2
-        lines is spanned by C(c, 2) pairs, each at its common point, and
-        each of its lines is in c - 1 of them.  A pair lost, or counted
-        under another plane's key, breaks that."""
-        ls = self.ls
+        """Counts >= 2 at d = 2 and the flagged planes, handled by a pair of
+        their lines, from ``_meeting_planes``: two lines of a plane meet, so
+        a plane of c >= 2 lines is spanned by C(c, 2) pairs, each at its
+        common point, and each of its lines is in c - 1 of them.  A pair
+        lost, or counted under another plane's key, breaks that."""
+        lines = self.ls.lines
         tally: Counter = Counter()
-        bases = []
+        flagged = []
         for pairs, l, m, at_l in self._meeting_planes().values():
             c = at_l + 1
             if c * (c - 1) // 2 != pairs:
@@ -380,12 +395,13 @@ class _DualCounts:
                 )
             tally[c] += 1
             if c in bad:
-                bases.append((ls.space.rref(ls.lines[l] + ls.lines[m]), c))
-        return tally, bases
+                flagged.append((min(lines[l][0].index(1), lines[m][0].index(1)), (l, m), c))
+        rref = self.ls.space.rref
+        return tally, flagged, lambda lm: rref(lines[lm[0]] + lines[lm[1]])
 
     def _walk(self, k: int, bad: frozenset):
         """Counts >= 2 over the subspaces cut out by k >= 1 annihilator
-        rows, and the flagged ones' bases."""
+        rows, and the flagged ones, handled by their rows' point indices."""
         space = self.ls.space
         nlines = len(self.ls.lines)
         tally: Counter = Counter()
@@ -463,21 +479,31 @@ class _DualCounts:
                 levels.sort(key=lambda lv: len(lv[0]))
                 walk(levels, 0, (1 << nlines) - 1, ())
         points = space.points
-        return tally, [
-            (space.nullspace([points[h] for h in hyps]), c) for hyps, c in flagged
-        ]
+        units = list(map(space.point_index.__getitem__, self.identity))
+
+        def first_pivot(hyps):
+            """How many of e_0, e_1, ... in turn are rows: U's first pivot."""
+            p1 = 0
+            while units[p1] in hyps:
+                p1 += 1
+            return p1
+
+        return (
+            tally,
+            [(first_pivot(hyps), hyps, c) for hyps, c in flagged],
+            lambda hyps: space.nullspace([points[h] for h in hyps]),
+        )
 
     def __call__(self, d: int, bad: frozenset):
         space = self.ls.space
         k = space.n - d
         nlines = len(self.ls.lines)
         if k == 0:
-            w = space.width
-            rows = tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
-            return {nlines: 1}, ([(rows, nlines)] if nlines in bad else [])
+            whole = [(0, (), nlines)] if nlines in bad else []
+            return {nlines: 1}, whole, lambda _: self.identity
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
-        tally, bases = self._planes(bad) if d == 2 else self._walk(k, bad)
+        tally, flagged, basis = self._planes(bad) if d == 2 else self._walk(k, bad)
         # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
         # (line, U) number nlines times that; the rest have |L_U| = 1.
         ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(
@@ -490,7 +516,7 @@ class _DualCounts:
             )
         if ones:
             tally[1] = ones
-        return dict(tally), bases
+        return dict(tally), flagged, basis
 
 
 def _naive_counts(ls: LineSet, d: int) -> dict:
@@ -508,8 +534,8 @@ def _dict_source(ls: LineSet, counts_of):
 
     def source(d: int, bad: frozenset):
         counts = counts_of(ls, d)
-        flagged = [(rows, c) for rows, c in counts.items() if c in bad]
-        return dict(Counter(counts.values())), flagged
+        flagged = [(rows[0].index(1), rows, c) for rows, c in counts.items() if c in bad]
+        return dict(Counter(counts.values())), flagged, lambda rows: rows
 
     return source
 
@@ -534,10 +560,24 @@ def _check_pair_counts(ls: LineSet, d: int, hist: dict, meeting: int) -> None:
         raise InternalConsistencyError(f"d = {d}: histogram fails the line-pair identity")
 
 
+def _witness(d: int, top: int, handles: list, basis, bases: dict):
+    """The byte-minimal basis of the subspaces ``handles``, all of first
+    pivot ``top``, each basis made once into ``bases``."""
+    for h in handles:
+        if h not in bases:
+            bases[h] = basis(h)
+    w = min(map(bases.__getitem__, handles))
+    if w[0].index(1) != top:
+        raise InternalConsistencyError(f"d = {d}: a witness's first pivot is not {top}")
+    return w
+
+
 def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
     """Audit the enabled axioms, taking the counts at d = 0, the lines
     through each point, from ``LineSet.point_lines`` and those at d >= 2
-    from ``source``, checked by ``_check_pair_counts``."""
+    from ``source``, checked by ``_check_pair_counts``.  Each axiom's
+    witness is sought among its hits of the largest first pivot only: a
+    larger first pivot always gives a byte-smaller basis."""
     if not ls.lines:
         raise ValueError("cannot audit an empty line set")
     q, nlines = ls.q, len(ls.lines)
@@ -548,7 +588,7 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
     for pi, ids in ls.point_lines.items():
         degrees[len(ids)] += 1
         if len(ids) in bad:
-            flagged_points.append(((points[pi],), len(ids)))
+            flagged_points.append((points[pi].index(1), pi, len(ids)))
     # Two lines share one point at most, so the pairs that meet are counted
     # once, at their common point.
     meeting = sum(c * (c - 1) // 2 * m for c, m in degrees.items())
@@ -557,14 +597,19 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         flagged = []  # with d > n there are no d-subspaces: every rule holds
         if d == 0:
             histograms[0], flagged = dict(degrees), flagged_points
+            basis = lambda pi: (points[pi],)
         elif d <= ls.n:
-            hist, flagged = source(d, rejected(rs, nlines))
+            hist, flagged, basis = source(d, rejected(rs, nlines))
             _check_pair_counts(ls, d, hist, meeting)
             histograms[d] = hist
+        bases: dict = {}  # shared by the axioms at d, as (Sd) and (Sd') share solids
         for a, allowed in rs.items():
-            hits = [rows for rows, c in flagged if c not in allowed]
-            verdicts[a] = not hits
-            witnesses[a] = min(hits, default=None)
+            top = max((p1 for p1, _, c in flagged if c not in allowed), default=None)
+            verdicts[a] = top is None
+            witnesses[a] = None if top is None else _witness(
+                d, top, [h for p1, h, c in flagged if p1 == top and c not in allowed],
+                basis, bases,
+            )
     span = ls.span_dim()
     for a in cfg.enabled():
         d, holds = AXIOMS[a]

@@ -69,8 +69,10 @@ class ParabolicQuadric:
     def line_is_isotropic(self, rows) -> bool:
         """True iff all q+1 points of the line spanned by ``rows`` lie on the quadric."""
         space = self.space
-        line = space.line_point_indices(space.rref(rows))
-        return not any(self.form(space.points[i]) for i in line)
+        rows = space.rref(rows)
+        if len(rows) != 2:
+            raise ValueError(f"not a line: projdim {len(rows) - 1}")
+        return not any(self.form(space.points[i]) for i in space.line_point_indices(rows))
 
     def isotropic_lines(self) -> tuple:
         """Canonical bases of all totally isotropic lines, sorted (cached).

@@ -182,6 +182,26 @@ class TestLinePredicate:
         with pytest.raises(ValueError):
             hexagon_line_predicate(quad, rows)
 
+    @pytest.mark.parametrize(
+        "rows, projdim",
+        [
+            (((0, 0, 1, 0, 0, 0, 0),), 0),
+            (((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0)), 2),
+        ],
+        ids=["point", "plane"],
+    )
+    def test_non_line_raises_the_lineset_message(self, rows, projdim):
+        """Rows that span a point or a plane are refused after ``rref``, as
+        ``LineSet`` refuses them, not by a failed unpacking."""
+        quad = parabolic_quadric(2)
+        message = f"^not a line: projdim {projdim}$"
+        with pytest.raises(ValueError, match=message):
+            quad.line_is_isotropic(rows)
+        with pytest.raises(ValueError, match=message):
+            hexagon_line_predicate(quad, rows)
+        with pytest.raises(ValueError, match=message):
+            LineSet(quad.space, [rows])
+
 
 class TestFlatFull:
     @pytest.mark.parametrize("fixture", ["h2", "h3"])
