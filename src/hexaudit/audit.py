@@ -30,6 +30,12 @@ process:
   from one mask per count value, so the row costs no Python work per
   hyperplane; when the row is short for the prefix, the AND and popcount
   run over it in C instead, as they do when there is one row (d = n-1).
+* With three rows or more, a shape whose last two rows have a small
+  product grid of choices, below rows with many choices, completes them
+  together: each line l gets a product mask P[l], the cells (i1, i2) of
+  the grid whose two hyperplanes contain l, built once per shape, and
+  the row above the two adds its prefix's P[l] into the same bit-sliced
+  counters, so each prefix costs one ripple carry per line.
 * An axiom's witness is the byte-minimal canonical basis among the
   subspaces whose counts it rejects.  A larger first pivot P1, the
   leading column of the basis's first row, always gives a byte-smaller
@@ -38,7 +44,9 @@ process:
   the number of leading annihilator rows that are the unit vectors e_0,
   e_1, ...: U lies in x_0 = ... = x_{c-1} = 0 exactly when e_0 .. e_{c-1}
   are in the annihilator's span, and an RREF row with pivot i < c is then
-  e_i itself.
+  e_i itself.  A hyperplane's basis follows from its one row, so at
+  d = n-1 a key read from the row (``_hyperplane_key``) picks the least
+  rejected hyperplane, and only it gets a nullspace.
 * Planes (d = 2) skip the walk.  Two lines of a plane meet, so
   every plane of c >= 2 lines is spanned by the C(c, 2) pairs of lines
   through a common point, each counted at that point; H[l] & H[m], the
@@ -61,6 +69,7 @@ Every histogram, from any source, must pass two pair-count identities
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
@@ -205,11 +214,12 @@ class AuditReport(NamedTuple):
 
 
 # -- count sources --
-# A count source is called as ``source(d, bad)`` and returns three things:
+# A count source is called as ``source(d, bad)`` and returns four things:
 # the histogram {|L_U|: number of U} over the d-subspaces U meeting L;
 # (P1, handle, |L_U|) for at least every U whose count is in ``bad``, P1
-# being the first pivot of U's canonical basis; and the function that
-# turns a handle into that basis.
+# being the first pivot of U's canonical basis; the function that turns a
+# handle into that basis; and None, or a key that orders handles as their
+# bases, so that only the least handle needs one.
 
 # How the last annihilator row is completed for a prefix of p lines and a
 # row of F hyperplanes: p < CROWDED_LINES marks the hyperplanes seen once
@@ -222,6 +232,19 @@ class AuditReport(NamedTuple):
 # at 8-16.
 CROWDED_LINES = 24
 LINEWISE_RATIO = 3
+
+# When a shape of k >= 3 rows completes its last two rows together over
+# their product grid: the rows above them have at least GRID_MIN_PREFIXES
+# choices in all, which reuse each product mask, and the grid has at most
+# GRID_MAX_CELLS cells, which keeps its counters short ints.  Per shape in
+# process (2-core VM), marking against the grid, by choice counts:
+# [81, 81, 81] 10.2 against 3.6 ms, [27, 81, 81] 5.3 against 2.4 ms,
+# [27, 27, 27] 1.0 against 1.0 ms, but [9, 81, 81] 1.1 against 1.7 ms
+# on H(3) d = 3; [64, 64, 64] 8.0 against 7.5 ms on H(4) d = 3; on H(5)
+# d = 3, [125, 125, 125] (15 625 cells) 39 against 45 ms and [25, 25, 25]
+# 1.5 against 7.8 ms.
+GRID_MIN_PREFIXES = 27
+GRID_MAX_CELLS = 1 << 13
 
 
 def _bit_slices(vectors, width: int, q: int) -> list[list[int]]:
@@ -292,6 +315,70 @@ def _value_masks(sl: list[int], family: int):
             lo = m ^ hi
             if lo:
                 stack.append((i - 1, lo, c))
+
+
+def _hyperplane_key(h, gf) -> tuple[int, ...]:
+    """A key that orders the hyperplanes h . x = 0 as their canonical bases.
+
+    With e the last nonzero coordinate of h, the basis rows are
+    e_j - (h_j / h_e) e_e for j != e, in order of j, so row i is e_{i+1}
+    for i >= e and e_i + a_i e_e for i < e, with a_i = -h_i / h_e.  Row i
+    compares as e_{i+1} < e_i < e_i + a e_e, and e_i + a e_e < e_i + a' e_f
+    when e > f, or e = f and a < a'; the key's entry i ranks row i so, and
+    the rows from e on, all ranked lowest, are left out.
+    """
+    e = len(h) - 1
+    while not h[e]:
+        e -= 1
+    a = gf.mul_table[gf.neg_table[gf.inv_table[h[e]]]]
+    base = (len(h) - 1 - e) * gf.q + 1
+    return tuple(base + a[x] if x else 1 for x in h[:e])
+
+
+def _runs(hyps) -> list[tuple[int, int, int]]:
+    """(start, mask, position) for each run of consecutive indices in the
+    ascending ``hyps``: bits start.. of a mask over all indices, cut by
+    ``mask``, are the bits position.. of its compaction onto ``hyps``."""
+    runs = []
+    for pos, h in enumerate(hyps):
+        if runs and runs[-1][0] + runs[-1][1] == h:
+            runs[-1][1] += 1
+        else:
+            runs.append([h, 1, pos])
+    return [(start, (1 << n) - 1, pos) for start, n, pos in runs]
+
+
+class _ProductMasks(dict):
+    """P[l] for each line l, built on first use, over the grid of the
+    choices of two annihilator rows: bit i1 * F2 + i2 is set when l lies in
+    hyperplanes ``first[i1]`` and ``second[i2]``, F2 being ``len(second)``.
+    ``cells`` is the whole grid and ``cell(t)`` bit t's two hyperplanes."""
+
+    def __init__(self, line_hyps, first: tuple, second: tuple):
+        super().__init__()
+        self.line_hyps, self.first, self.second = line_hyps, first, second
+        self.runs = _runs(first), _runs(second)
+        self.cells = (1 << len(first) * len(second)) - 1
+
+    def cell(self, t: int) -> tuple[int, int]:
+        i1, i2 = divmod(t, len(self.second))
+        return self.first[i1], self.second[i2]
+
+    def __missing__(self, l: int) -> int:
+        h, f2 = self.line_hyps[l], len(self.second)
+        runs1, runs2 = self.runs
+        d1 = d2 = 0
+        for s, m, p in runs1:
+            d1 |= (h >> s & m) << p
+        for s, m, p in runs2:
+            d2 |= (h >> s & m) << p
+        grid = 0
+        while d1:
+            t = d1.bit_length() - 1
+            grid |= d2 << t * f2
+            d1 ^= 1 << t
+        self[l] = grid
+        return grid
 
 
 class _DualCounts:
@@ -397,7 +484,7 @@ class _DualCounts:
             if c in bad:
                 flagged.append((min(lines[l][0].index(1), lines[m][0].index(1)), (l, m), c))
         rref = self.ls.space.rref
-        return tally, flagged, lambda lm: rref(lines[lm[0]] + lines[lm[1]])
+        return tally, flagged, lambda lm: rref(lines[lm[0]] + lines[lm[1]]), None
 
     def _walk(self, k: int, bad: frozenset):
         """Counts >= 2 over the subspaces cut out by k >= 1 annihilator
@@ -424,26 +511,41 @@ class _DualCounts:
         else:
             line_hyps = self.line_hyperplanes
 
-            def crowded(acc, hyps, ms, family, rows):
-                """Complete a prefix of many lines against the last row."""
-                if LINEWISE_RATIO * acc.bit_count() >= len(hyps):
-                    return mapped(acc, hyps, ms, rows)
-                sl = _sliced_counts(acc, line_hyps, family)
+            def tallied(sl, family, rows, cell):
+                """Tally the counters' values >= 2 over ``family`` and flag
+                the bits of rejected counts, bit t as the rows ``cell(t)``."""
                 for c, m in _value_masks(sl, family):
                     tally[c] += m.bit_count()
                     if c in bad:
                         while m:
                             t = m.bit_length() - 1
-                            flagged.append((rows + (t,), c))
+                            flagged.append((rows + cell(t), c))
                             m ^= 1 << t
 
-            def walk(levels, depth, acc, rows):
+            def crowded(acc, hyps, ms, family, rows):
+                """Complete a prefix of many lines against the last row."""
+                if LINEWISE_RATIO * acc.bit_count() >= len(hyps):
+                    return mapped(acc, hyps, ms, rows)
+                tallied(_sliced_counts(acc, line_hyps, family), family, rows, lambda t: (t,))
+
+            def walk(depth, acc, rows):
                 hyps, ms, _ = levels[depth]
-                if depth < k - 2:
+                if depth < stop:
                     for h, m in zip(hyps, ms):
                         a = acc & m
                         if a & (a - 1):
-                            walk(levels, depth + 1, a, rows + (h,))
+                            walk(depth + 1, a, rows + (h,))
+                    return
+                if products is not None:
+                    # The row above the last two completes each of its
+                    # prefixes over their whole grid at once.
+                    for h, m in zip(hyps, ms):
+                        a = acc & m
+                        if a & (a - 1):
+                            tallied(
+                                _sliced_counts(a, products, products.cells),
+                                products.cells, rows + (h,), products.cell,
+                            )
                     return
                 # The row above the last completes each of its prefixes.
                 last = levels[-1]
@@ -474,10 +576,18 @@ class _DualCounts:
 
             for shape in space.rref_shapes(k):
                 levels = [self._row_choices(p, free) for p, free in shape]
-                # Rows are independent: put the longest choice list last,
-                # the row that is completed for all its choices at once.
+                # Rows are independent: put the longest choice lists last,
+                # the rows that are completed for all their choices at once.
                 levels.sort(key=lambda lv: len(lv[0]))
-                walk(levels, 0, (1 << nlines) - 1, ())
+                first, second = levels[-2][0], levels[-1][0]
+                grid = (
+                    k >= 3
+                    and math.prod(len(lv[0]) for lv in levels[:-2]) >= GRID_MIN_PREFIXES
+                    and len(first) * len(second) <= GRID_MAX_CELLS
+                )
+                products = _ProductMasks(line_hyps, first, second) if grid else None
+                stop = k - 3 if grid else k - 2
+                walk(0, (1 << nlines) - 1, ())
         points = space.points
         units = list(map(space.point_index.__getitem__, self.identity))
 
@@ -492,6 +602,7 @@ class _DualCounts:
             tally,
             [(first_pivot(hyps), hyps, c) for hyps, c in flagged],
             lambda hyps: space.nullspace([points[h] for h in hyps]),
+            (lambda hyps: _hyperplane_key(points[hyps[0]], space.gf)) if k == 1 else None,
         )
 
     def __call__(self, d: int, bad: frozenset):
@@ -500,10 +611,10 @@ class _DualCounts:
         nlines = len(self.ls.lines)
         if k == 0:
             whole = [(0, (), nlines)] if nlines in bad else []
-            return {nlines: 1}, whole, lambda _: self.identity
+            return {nlines: 1}, whole, lambda _: self.identity, None
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
-        tally, flagged, basis = self._planes(bad) if d == 2 else self._walk(k, bad)
+        tally, flagged, basis, order = self._planes(bad) if d == 2 else self._walk(k, bad)
         # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
         # (line, U) number nlines times that; the rest have |L_U| = 1.
         ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(
@@ -516,7 +627,7 @@ class _DualCounts:
             )
         if ones:
             tally[1] = ones
-        return dict(tally), flagged, basis
+        return dict(tally), flagged, basis, order
 
 
 def _naive_counts(ls: LineSet, d: int) -> dict:
@@ -535,7 +646,7 @@ def _dict_source(ls: LineSet, counts_of):
     def source(d: int, bad: frozenset):
         counts = counts_of(ls, d)
         flagged = [(rows[0].index(1), rows, c) for rows, c in counts.items() if c in bad]
-        return dict(Counter(counts.values())), flagged, lambda rows: rows
+        return dict(Counter(counts.values())), flagged, lambda rows: rows, None
 
     return source
 
@@ -560,9 +671,12 @@ def _check_pair_counts(ls: LineSet, d: int, hist: dict, meeting: int) -> None:
         raise InternalConsistencyError(f"d = {d}: histogram fails the line-pair identity")
 
 
-def _witness(d: int, top: int, handles: list, basis, bases: dict):
+def _witness(d: int, top: int, handles: list, basis, bases: dict, order):
     """The byte-minimal basis of the subspaces ``handles``, all of first
-    pivot ``top``, each basis made once into ``bases``."""
+    pivot ``top``, each basis made once into ``bases``: only the least
+    handle's, if ``order`` orders handles as their bases."""
+    if order is not None:
+        handles = [min(handles, key=order)]
     for h in handles:
         if h not in bases:
             bases[h] = basis(h)
@@ -597,9 +711,9 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         flagged = []  # with d > n there are no d-subspaces: every rule holds
         if d == 0:
             histograms[0], flagged = dict(degrees), flagged_points
-            basis = lambda pi: (points[pi],)
+            basis, order = lambda pi: (points[pi],), None
         elif d <= ls.n:
-            hist, flagged, basis = source(d, rejected(rs, nlines))
+            hist, flagged, basis, order = source(d, rejected(rs, nlines))
             _check_pair_counts(ls, d, hist, meeting)
             histograms[d] = hist
         bases: dict = {}  # shared by the axioms at d, as (Sd) and (Sd') share solids
@@ -608,7 +722,7 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
             verdicts[a] = top is None
             witnesses[a] = None if top is None else _witness(
                 d, top, [h for p1, h, c in flagged if p1 == top and c not in allowed],
-                basis, bases,
+                basis, bases, order,
             )
     span = ls.span_dim()
     for a in cfg.enabled():

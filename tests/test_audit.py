@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hexaudit.audit import (
     _bit_slices,
     _dict_source,
     _DualCounts,
+    _hyperplane_key,
     _naive_counts,
     _orthogonal,
     _sliced_counts,
@@ -51,15 +53,18 @@ H4_PROJ5_REPORT_SHA256 = "0442d5f4faa0af595aa6a0f8dd3d3a0cf1911546da0b51cc477113
 H4_REPORT_SHA256 = "f5cf06486c4557f26a4ba6fc924ca7c1d03c2a963bb849a3d2fdcdc45e3e8c82"
 
 # Module constants that send every last row of the kernel down one path:
-# marking seen and twice ("line-wise"), the map, or the sliced counters.
+# marking seen and twice ("line-wise"), the map, or the sliced counters,
+# each with the product grid off; or, with k >= 3 rows, the last two rows
+# over their product grid ("grid").
+GRID_OFF = {"GRID_MIN_PREFIXES": 10**9}
+ONE_PATH_CONSTANTS = {
+    "line-wise": {**GRID_OFF, "CROWDED_LINES": 10**9},
+    "map": {**GRID_OFF, "CROWDED_LINES": 0, "LINEWISE_RATIO": 10**9},
+    "sliced": {**GRID_OFF, "CROWDED_LINES": 0, "LINEWISE_RATIO": 0},
+    "grid": {"GRID_MIN_PREFIXES": 0, "GRID_MAX_CELLS": 10**9},
+}
 ONE_PATH = pytest.mark.parametrize(
-    "constants",
-    [
-        {"CROWDED_LINES": 10**9},
-        {"CROWDED_LINES": 0, "LINEWISE_RATIO": 10**9},
-        {"CROWDED_LINES": 0, "LINEWISE_RATIO": 0},
-    ],
-    ids=["line-wise", "map", "sliced"],
+    "constants", list(ONE_PATH_CONSTANTS.values()), ids=list(ONE_PATH_CONSTANTS)
 )
 
 
@@ -370,6 +375,19 @@ def lineset_from_pairs(space_key, pairs):
     return LineSet(space, keys)
 
 
+@cache
+def padded_h2():
+    """H(2) zero-padded into PG(7, 2)."""
+    return LineSet(
+        projective_space(7, 2), [tuple(r + (0,) for r in key) for key in build_cached(2).lines]
+    )
+
+
+@cache
+def padded_h2_closure(d):
+    return closure_counts(padded_h2(), d)
+
+
 def per_hyperplane_masks(ls):
     """Referee for ``_DualCounts.masks``: two ``_orthogonal`` passes per
     hyperplane, over the x rows and over the y rows of the lines."""
@@ -439,6 +457,12 @@ class TestDualKernel:
         doc.pop("version")
         assert doc == golden
 
+    def test_h3_report_matches_golden_on_the_grid(self, h3, monkeypatch):
+        """H(3) with every shape of three rows or more on the product grid."""
+        for name, value in ONE_PATH_CONSTANTS["grid"].items():
+            monkeypatch.setattr(audit_module, name, value)
+        self.test_h3_report_matches_golden(h3)
+
     @pytest.mark.parametrize("n, q", [(4, 3), (6, 2)])
     def test_single_line_counts_come_from_the_identity(self, n, q):
         """One line lies in [n-1, d-1]_q d-subspaces, each holding only it."""
@@ -459,9 +483,10 @@ class TestDualKernel:
         self.check_random_set(space_key, pairs)
 
     # These sets and criterion 6's have at most 14 lines, fewer than
-    # CROWDED_LINES: apart from d = n-1, which always takes the map, every
-    # last row of theirs is marked unless the constants force another
-    # path, as here.
+    # CROWDED_LINES, and at most two annihilator rows outside the planes'
+    # own path: apart from d = n-1, which always takes the map, every last
+    # row of theirs is marked unless the constants force another path, as
+    # here; the grid, for k >= 3 rows only, never runs on them.
     @ONE_PATH
     @settings(max_examples=25, deadline=None)
     @given(
@@ -473,6 +498,35 @@ class TestDualKernel:
             for name, value in constants.items():
                 mp.setattr(audit_module, name, value)
             self.check_random_set(space_key, pairs)
+
+    # Random sets of PG(6, 2) have k = 3 annihilator rows at d = 3, and
+    # H(2) zero-padded into PG(7, 2), with random lines added, k = 4 at
+    # d = 3 and k = 3 at d = 4.
+    @ONE_PATH
+    @settings(max_examples=8, deadline=None)
+    @given(
+        padded=st.booleans(),
+        pairs=RANDOM_PAIRS,
+        names=st.sets(st.sampled_from(list(AXIOMS)), min_size=1),
+    )
+    def test_three_and_four_rows_match_closure(self, constants, padded, pairs, names):
+        extra = lineset_from_pairs((7 if padded else 6, 2), pairs)
+        if padded:
+            h = padded_h2()
+            added = LineSet(h.space, set(extra.lines) - set(h.lines))
+            ls = LineSet(h.space, h.lines + added.lines)
+
+            def counts_of(_, d):
+                # The closure counts each line's subspaces, so they add.
+                return padded_h2_closure(d) + closure_counts(added, d)
+        else:
+            ls, counts_of = extra, closure_counts
+        cfg = AxiomConfig(frozenset(names))
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in constants.items():
+                mp.setattr(audit_module, name, value)
+            rep = audit(ls, cfg)
+        assert rep.to_dict() == _audit(ls, cfg, _dict_source(ls, counts_of)).to_dict()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -520,12 +574,12 @@ class TestDualKernel:
         kernel = _DualCounts(h2)
 
         def source(dim, bad):
-            hist, flagged, basis = kernel(dim, bad)
+            hist, *rest = kernel(dim, bad)
             if dim == d:
                 wrong = corrupt(hist, min(c for c in hist if c >= 2))
                 assert sum(c * m for c, m in wrong.items()) == sum(c * m for c, m in hist.items())
                 hist = wrong
-            return hist, flagged, basis
+            return hist, *rest
 
         message = f"d = {d}: histogram fails the line-pair identity"
         with pytest.raises(InternalConsistencyError, match=message):
@@ -593,8 +647,8 @@ class TestPlanesFromMeetingPairs:
         assume(planted is not None)
         ls = LineSet(space, [*lineset_from_pairs(space_key, pairs).lines, *planted])
         bad = frozenset(range(2, len(ls.lines) + 1))
-        hist, flagged, basis = _DualCounts(ls)(2, bad)
-        want_hist, want_flagged, want_basis = _dict_source(ls, _naive_counts)(2, bad)
+        hist, flagged, basis, _ = _DualCounts(ls)(2, bad)
+        want_hist, want_flagged, want_basis, _ = _dict_source(ls, _naive_counts)(2, bad)
         assert hist == want_hist
         bases = sorted((p1, basis(h), c) for p1, h, c in flagged)
         assert bases == sorted((p1, want_basis(h), c) for p1, h, c in want_flagged)
@@ -663,6 +717,36 @@ class TestWitnessRanking:
         audit(seeded_lineset(6, 2, 300, "dense-pg6-2"), AxiomConfig.all())
         assert len(calls) == 14
 
+    @pytest.mark.parametrize("n, q", [(4, 2), (4, 3), (3, 4)])
+    def test_hyperplane_key_orders_as_the_bases(self, n, q):
+        space = projective_space(n, q)
+        keys = [
+            _hyperplane_key(h, space.gf)
+            for h in sorted(space.points, key=lambda h: space.nullspace([h]))
+        ]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_one_nullspace_per_hyperplane_witness(self, monkeypatch):
+        """At d = n-1 the witness is the least rejected hyperplane by the
+        key: 60 random lines of PG(4, 3) fail (Sd) on 89 hyperplanes and
+        (Sd') on 38, with two witnesses, and make one nullspace each."""
+        calls = []
+        nullspace = PG.nullspace
+
+        def counted(space, rows):
+            calls.append(len(rows))
+            return nullspace(space, rows)
+
+        monkeypatch.setattr(PG, "nullspace", counted)
+        ls = seeded_lineset(4, 3, 60, "dense-pg4-3")
+        cfg = AxiomConfig.from_names(["Sd", "Sd'"])
+        rep = audit(ls, cfg)
+        assert None not in (rep.witnesses["Sd"], rep.witnesses["Sd'"])
+        assert rep.witnesses["Sd"] != rep.witnesses["Sd'"]
+        assert calls == [1, 1]
+        monkeypatch.undo()
+        assert rep.to_dict() == naive_audit(ls, cfg).to_dict()
+
     @settings(max_examples=30, deadline=None)
     @given(
         space_key=st.sampled_from([(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]),
@@ -686,10 +770,10 @@ class TestWitnessRanking:
         kernel = _DualCounts(ls)
 
         def source(dim, bad):
-            hist, flagged, basis = kernel(dim, bad)
+            hist, flagged, *rest = kernel(dim, bad)
             if dim == d:
                 flagged = [(p1 + 1, h, c) for p1, h, c in flagged]
-            return hist, flagged, basis
+            return hist, flagged, *rest
 
         with pytest.raises(InternalConsistencyError, match=f"d = {d}: a witness's first pivot"):
             _audit(ls, AxiomConfig.all(), source)
@@ -972,7 +1056,7 @@ class TestControls:
             "4d": tuple(e),
         }
         if q == 4:
-            _, flagged, _ = _DualCounts(ql)(2, frozenset({2}))
+            _, flagged, _, _ = _DualCounts(ql)(2, frozenset({2}))
             assert Counter(p1 for p1, _, _ in flagged) == {0: 840, 1: 10}
         if q == 2:
             assert rep.to_dict() == naive_audit(ql, cfg).to_dict()
