@@ -22,20 +22,23 @@ process:
   the partial AND, and skips every completion once it holds fewer than
   two lines.  Every line lies in the same number of d-subspaces, so the
   count of U with |L_U| = 1 follows, and every axiom admits count 1.
-* The row above the last completes each of its prefixes in its own loop.
-  A prefix of few lines marks each H[l] once and twice over the last
-  row's hyperplanes; only those marked twice hold two or more lines, and
-  only they are popcounted.  A prefix of many lines adds each H[l] into
-  bit-sliced counters over the row's hyperplanes, and the histogram comes
-  from one mask per count value, so the row costs no Python work per
-  hyperplane; when the row is short for the prefix, the AND and popcount
-  run over it in C instead, as they do when there is one row (d = n-1).
+* Every shape's walk stops at the prefixes of all its rows but the last
+  two, and completes them there.  Without the grid below, the row above
+  the last loops over its choices and completes each longer prefix
+  against the last row.  A prefix of few lines marks each H[l] once and
+  twice over the last row's hyperplanes; only those marked twice hold
+  two or more lines, and only they are popcounted.  A prefix of many
+  lines adds each H[l] into bit-sliced counters over the row's
+  hyperplanes, and the histogram comes from one mask per count value, so
+  the row costs no Python work per hyperplane; when the row is short for
+  the prefix, the AND and popcount run over it in C instead, as they do
+  when there is one row (d = n-1).
 * With three rows or more, a shape whose last two rows have a small
   product grid of choices, below rows with many choices, completes them
   together: each line l gets a product mask P[l], the cells (i1, i2) of
   the grid whose two hyperplanes contain l, built once per shape, and
-  the row above the two adds its prefix's P[l] into the same bit-sliced
-  counters, so each prefix costs one ripple carry per line.
+  each prefix adds its lines' P[l] into the same bit-sliced counters, so
+  it costs one ripple carry per line.
 * An axiom's witness is the byte-minimal canonical basis among the
   subspaces whose counts it rejects.  A larger first pivot P1, the
   leading column of the basis's first row, always gives a byte-smaller
@@ -44,9 +47,8 @@ process:
   the number of leading annihilator rows that are the unit vectors e_0,
   e_1, ...: U lies in x_0 = ... = x_{c-1} = 0 exactly when e_0 .. e_{c-1}
   are in the annihilator's span, and an RREF row with pivot i < c is then
-  e_i itself.  A hyperplane's basis follows from its one row, so at
-  d = n-1 a key read from the row (``_hyperplane_key``) picks the least
-  rejected hyperplane, and only it gets a nullspace.
+  e_i itself.  A hyperplane's basis is read straight from its one row
+  (``_hyperplane_basis``), so no witness at d = n-1 needs a nullspace.
 * Planes (d = 2) skip the walk.  Two lines of a plane meet, so
   every plane of c >= 2 lines is spanned by the C(c, 2) pairs of lines
   through a common point, each counted at that point; H[l] & H[m], the
@@ -214,12 +216,11 @@ class AuditReport(NamedTuple):
 
 
 # -- count sources --
-# A count source is called as ``source(d, bad)`` and returns four things:
+# A count source is called as ``source(d, bad)`` and returns three things:
 # the histogram {|L_U|: number of U} over the d-subspaces U meeting L;
 # (P1, handle, |L_U|) for at least every U whose count is in ``bad``, P1
-# being the first pivot of U's canonical basis; the function that turns a
-# handle into that basis; and None, or a key that orders handles as their
-# bases, so that only the least handle needs one.
+# being the first pivot of U's canonical basis; and the function that
+# turns a handle into that basis.
 
 # How the last annihilator row is completed for a prefix of p lines and a
 # row of F hyperplanes: p < CROWDED_LINES marks the hyperplanes seen once
@@ -317,22 +318,21 @@ def _value_masks(sl: list[int], family: int):
                 stack.append((i - 1, lo, c))
 
 
-def _hyperplane_key(h, gf) -> tuple[int, ...]:
-    """A key that orders the hyperplanes h . x = 0 as their canonical bases.
-
-    With e the last nonzero coordinate of h, the basis rows are
-    e_j - (h_j / h_e) e_e for j != e, in order of j, so row i is e_{i+1}
-    for i >= e and e_i + a_i e_e for i < e, with a_i = -h_i / h_e.  Row i
-    compares as e_{i+1} < e_i < e_i + a e_e, and e_i + a e_e < e_i + a' e_f
-    when e > f, or e = f and a < a'; the key's entry i ranks row i so, and
-    the rows from e on, all ranked lowest, are left out.
-    """
+def _hyperplane_basis(h, gf) -> tuple[tuple[int, ...], ...]:
+    """The canonical basis of the hyperplane h . x = 0, without elimination:
+    with e the last nonzero coordinate of h, its rows are
+    e_j - (h_j / h_e) e_e for j != e, in order of j."""
     e = len(h) - 1
     while not h[e]:
         e -= 1
     a = gf.mul_table[gf.neg_table[gf.inv_table[h[e]]]]
-    base = (len(h) - 1 - e) * gf.q + 1
-    return tuple(base + a[x] if x else 1 for x in h[:e])
+    rows = []
+    for j, x in enumerate(h):
+        if j != e:
+            row = [0] * len(h)
+            row[j], row[e] = 1, a[x]
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _runs(hyps) -> list[tuple[int, int, int]]:
@@ -484,7 +484,7 @@ class _DualCounts:
             if c in bad:
                 flagged.append((min(lines[l][0].index(1), lines[m][0].index(1)), (l, m), c))
         rref = self.ls.space.rref
-        return tally, flagged, lambda lm: rref(lines[lm[0]] + lines[lm[1]]), None
+        return tally, flagged, lambda lm: rref(lines[lm[0]] + lines[lm[1]])
 
     def _walk(self, k: int, bad: frozenset):
         """Counts >= 2 over the subspaces cut out by k >= 1 annihilator
@@ -522,40 +522,33 @@ class _DualCounts:
                             flagged.append((rows + cell(t), c))
                             m ^= 1 << t
 
-            def crowded(acc, hyps, ms, family, rows):
-                """Complete a prefix of many lines against the last row."""
-                if LINEWISE_RATIO * acc.bit_count() >= len(hyps):
-                    return mapped(acc, hyps, ms, rows)
-                tallied(_sliced_counts(acc, line_hyps, family), family, rows, lambda t: (t,))
-
             def walk(depth, acc, rows):
-                hyps, ms, _ = levels[depth]
-                if depth < stop:
+                if depth < k - 2:
+                    hyps, ms, _ = levels[depth]
                     for h, m in zip(hyps, ms):
                         a = acc & m
                         if a & (a - 1):
                             walk(depth + 1, a, rows + (h,))
                     return
+                # Every shape completes its prefix of k - 2 rows here.
                 if products is not None:
-                    # The row above the last two completes each of its
-                    # prefixes over their whole grid at once.
-                    for h, m in zip(hyps, ms):
-                        a = acc & m
-                        if a & (a - 1):
-                            tallied(
-                                _sliced_counts(a, products, products.cells),
-                                products.cells, rows + (h,), products.cell,
-                            )
+                    # The last two rows at once, over their whole grid.
+                    cells = products.cells
+                    tallied(_sliced_counts(acc, products, cells), cells, rows, products.cell)
                     return
                 # The row above the last completes each of its prefixes.
-                last = levels[-1]
-                family = last[2]
+                hyps, ms, _ = levels[depth]
+                last, last_ms, family = levels[-1]
                 for h, m in zip(hyps, ms):
                     a = acc & m
                     if not a & (a - 1):
                         continue
                     if a.bit_count() >= CROWDED_LINES:
-                        crowded(a, *last, rows + (h,))
+                        if LINEWISE_RATIO * a.bit_count() >= len(last):
+                            mapped(a, last, last_ms, rows + (h,))
+                        else:
+                            sl = _sliced_counts(a, line_hyps, family)
+                            tallied(sl, family, rows + (h,), lambda t: (t,))
                         continue
                     seen = twice = 0
                     x = a
@@ -586,7 +579,6 @@ class _DualCounts:
                     and len(first) * len(second) <= GRID_MAX_CELLS
                 )
                 products = _ProductMasks(line_hyps, first, second) if grid else None
-                stop = k - 3 if grid else k - 2
                 walk(0, (1 << nlines) - 1, ())
         points = space.points
         units = list(map(space.point_index.__getitem__, self.identity))
@@ -601,8 +593,8 @@ class _DualCounts:
         return (
             tally,
             [(first_pivot(hyps), hyps, c) for hyps, c in flagged],
-            lambda hyps: space.nullspace([points[h] for h in hyps]),
-            (lambda hyps: _hyperplane_key(points[hyps[0]], space.gf)) if k == 1 else None,
+            (lambda hyps: _hyperplane_basis(points[hyps[0]], space.gf)) if k == 1
+            else (lambda hyps: space.nullspace([points[h] for h in hyps])),
         )
 
     def __call__(self, d: int, bad: frozenset):
@@ -611,10 +603,10 @@ class _DualCounts:
         nlines = len(self.ls.lines)
         if k == 0:
             whole = [(0, (), nlines)] if nlines in bad else []
-            return {nlines: 1}, whole, lambda _: self.identity, None
+            return {nlines: 1}, whole, lambda _: self.identity
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
-        tally, flagged, basis, order = self._planes(bad) if d == 2 else self._walk(k, bad)
+        tally, flagged, basis = self._planes(bad) if d == 2 else self._walk(k, bad)
         # Every line lies in [n-1, d-1]_q d-subspaces, so the incidences
         # (line, U) number nlines times that; the rest have |L_U| = 1.
         ones = nlines * gaussian_binomial(space.n - 1, d - 1, space.q) - sum(
@@ -627,7 +619,7 @@ class _DualCounts:
             )
         if ones:
             tally[1] = ones
-        return dict(tally), flagged, basis, order
+        return dict(tally), flagged, basis
 
 
 def _naive_counts(ls: LineSet, d: int) -> dict:
@@ -646,7 +638,7 @@ def _dict_source(ls: LineSet, counts_of):
     def source(d: int, bad: frozenset):
         counts = counts_of(ls, d)
         flagged = [(rows[0].index(1), rows, c) for rows, c in counts.items() if c in bad]
-        return dict(Counter(counts.values())), flagged, lambda rows: rows, None
+        return dict(Counter(counts.values())), flagged, lambda rows: rows
 
     return source
 
@@ -671,12 +663,9 @@ def _check_pair_counts(ls: LineSet, d: int, hist: dict, meeting: int) -> None:
         raise InternalConsistencyError(f"d = {d}: histogram fails the line-pair identity")
 
 
-def _witness(d: int, top: int, handles: list, basis, bases: dict, order):
+def _witness(d: int, top: int, handles: list, basis, bases: dict):
     """The byte-minimal basis of the subspaces ``handles``, all of first
-    pivot ``top``, each basis made once into ``bases``: only the least
-    handle's, if ``order`` orders handles as their bases."""
-    if order is not None:
-        handles = [min(handles, key=order)]
+    pivot ``top``, each basis made once into ``bases``."""
     for h in handles:
         if h not in bases:
             bases[h] = basis(h)
@@ -711,9 +700,9 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
         flagged = []  # with d > n there are no d-subspaces: every rule holds
         if d == 0:
             histograms[0], flagged = dict(degrees), flagged_points
-            basis, order = lambda pi: (points[pi],), None
+            basis = lambda pi: (points[pi],)
         elif d <= ls.n:
-            hist, flagged, basis, order = source(d, rejected(rs, nlines))
+            hist, flagged, basis = source(d, rejected(rs, nlines))
             _check_pair_counts(ls, d, hist, meeting)
             histograms[d] = hist
         bases: dict = {}  # shared by the axioms at d, as (Sd) and (Sd') share solids
@@ -722,7 +711,7 @@ def _audit(ls: LineSet, cfg: AxiomConfig, source) -> AuditReport:
             verdicts[a] = top is None
             witnesses[a] = None if top is None else _witness(
                 d, top, [h for p1, h, c in flagged if p1 == top and c not in allowed],
-                basis, bases, order,
+                basis, bases,
             )
     span = ls.span_dim()
     for a in cfg.enabled():

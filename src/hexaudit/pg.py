@@ -41,9 +41,9 @@ def gaussian_binomial(n_dim: int, k: int, q: int) -> int:
     return num // den
 
 
-# Bounds the point table before it is built: that of PG(6, 8), 299 593
-# points, adds 50 MB of peak RSS and takes 0.2 s (2-core VM, Python
-# 3.11.7), and the table grows linearly in the point count.
+# Bounds the point table before it is built, and with it n: that of
+# PG(6, 8), 299 593 points, adds 50 MB of peak RSS and takes 0.2 s (2-core
+# VM, Python 3.11.7), and the table grows linearly in the point count.
 MAX_POINTS = 1 << 20
 
 
@@ -51,12 +51,14 @@ class PG:
     """PG(n, q) with interned point table and subspace machinery."""
 
     def __init__(self, n: int, q: int):
-        if not 0 <= n <= 10:
+        if n < 0:
             raise ValueError(f"ambient dimension {n} not supported")
         self.n = n
         self.q = q
         self.gf: GF = field(q)
-        if gaussian_binomial(n + 1, 1, q) > MAX_POINTS:
+        # PG(n, q) has at least 2^(n+1) - 1 points, past the bound from
+        # n = 20, so such n is refused before q^(n+1) is computed.
+        if n >= 20 or gaussian_binomial(n + 1, 1, q) > MAX_POINTS:
             raise ValueError(f"PG({n}, {q}) has more than {MAX_POINTS} points")
         self.width = n + 1
         pts = []

@@ -18,7 +18,7 @@ from hexaudit.audit import (
     _bit_slices,
     _dict_source,
     _DualCounts,
-    _hyperplane_key,
+    _hyperplane_basis,
     _naive_counts,
     _orthogonal,
     _sliced_counts,
@@ -38,7 +38,7 @@ from hexaudit.polygon import girth_and_diameter
 from hexaudit.quadric import parabolic_quadric
 from conftest import build_cached
 from lemmas import MAIN_THEOREM, expansion_bound, hyperplane_consequence_check
-from referees import closure_counts, contains, whole_space
+from referees import PluckerCoords, closure_counts, contains, whole_space
 
 # Benchmark goldens and inputs, read only: PGLS digests and report documents.
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -647,8 +647,8 @@ class TestPlanesFromMeetingPairs:
         assume(planted is not None)
         ls = LineSet(space, [*lineset_from_pairs(space_key, pairs).lines, *planted])
         bad = frozenset(range(2, len(ls.lines) + 1))
-        hist, flagged, basis, _ = _DualCounts(ls)(2, bad)
-        want_hist, want_flagged, want_basis, _ = _dict_source(ls, _naive_counts)(2, bad)
+        hist, flagged, basis = _DualCounts(ls)(2, bad)
+        want_hist, want_flagged, want_basis = _dict_source(ls, _naive_counts)(2, bad)
         assert hist == want_hist
         bases = sorted((p1, basis(h), c) for p1, h, c in flagged)
         assert bases == sorted((p1, want_basis(h), c) for p1, h, c in want_flagged)
@@ -715,21 +715,19 @@ class TestWitnessRanking:
 
         monkeypatch.setattr(PG, "nullspace", counted)
         audit(seeded_lineset(6, 2, 300, "dense-pg6-2"), AxiomConfig.all())
-        assert len(calls) == 14
+        assert len(calls) == 13
 
     @pytest.mark.parametrize("n, q", [(4, 2), (4, 3), (3, 4)])
-    def test_hyperplane_key_orders_as_the_bases(self, n, q):
+    def test_hyperplane_basis_is_the_nullspace(self, n, q):
         space = projective_space(n, q)
-        keys = [
-            _hyperplane_key(h, space.gf)
-            for h in sorted(space.points, key=lambda h: space.nullspace([h]))
-        ]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for h in space.points:
+            assert _hyperplane_basis(h, space.gf) == space.nullspace([h])
 
     def test_one_nullspace_per_hyperplane_witness(self, monkeypatch):
-        """At d = n-1 the witness is the least rejected hyperplane by the
-        key: 60 random lines of PG(4, 3) fail (Sd) on 89 hyperplanes and
-        (Sd') on 38, with two witnesses, and make one nullspace each."""
+        """At d = n-1 each rejected hyperplane of the top class gets its
+        basis read from its row, without a nullspace: 60 random lines of
+        PG(4, 3) fail (Sd) on 89 hyperplanes and (Sd') on 38, with two
+        witnesses, and make no nullspace call."""
         calls = []
         nullspace = PG.nullspace
 
@@ -743,7 +741,7 @@ class TestWitnessRanking:
         rep = audit(ls, cfg)
         assert None not in (rep.witnesses["Sd"], rep.witnesses["Sd'"])
         assert rep.witnesses["Sd"] != rep.witnesses["Sd'"]
-        assert calls == [1, 1]
+        assert calls == []
         monkeypatch.undo()
         assert rep.to_dict() == naive_audit(ls, cfg).to_dict()
 
@@ -941,6 +939,29 @@ def parabolic_quadrangle(q):
     return lines_where(4, q, inside)
 
 
+def dual_hexagon_pencils():
+    """H(2)^D in its Grassmann embedding: the Plücker images of H(2)'s lines,
+    three per pencil of H(2), in the order of the pencils' points.
+
+    The images span a PG(13, 2) inside PG(20, 2), which is past the point
+    bound, so the span is reduced here on the 21-coordinate vectors, over
+    GF(2).  Its reduced rows lead at distinct columns, the pivot columns of
+    the span's RREF, and an image's entries there are its coordinates.
+    """
+    h = build_cached(2)
+    images = [PluckerCoords(h.space.gf, *key).vector() for key in h.lines]
+    rows = []
+    for v in images:
+        for r in rows:
+            if v[r.index(1)]:
+                v = [a ^ b for a, b in zip(v, r)]
+        if any(v):
+            rows.append(v)
+    pivots = sorted(r.index(1) for r in rows)
+    coords = [tuple(v[p] for p in pivots) for v in images]
+    return [[coords[i] for i in ids] for _, ids in sorted(h.point_lines.items())]
+
+
 class TestControls:
     """Objects at the theorem's edges whose answers are known exactly."""
 
@@ -1056,10 +1077,28 @@ class TestControls:
             "4d": tuple(e),
         }
         if q == 4:
-            _, flagged, _, _ = _DualCounts(ql)(2, frozenset({2}))
+            _, flagged, _ = _DualCounts(ql)(2, frozenset({2}))
             assert Counter(p1 for p1, _, _ in flagged) == {0: 840, 1: 10}
         if q == 2:
             assert rep.to_dict() == naive_audit(ql, cfg).to_dict()
+
+    def test_dual_hexagon(self):
+        """H(2)^D has H(2)'s order and line count, but it spans PG(13, 2) and
+        is not flat: each pencil of H(2) maps onto a line, and two lines of
+        H(2)^D through a point span a plane of two lines, which (Pl)
+        rejects.  The closure enumeration gives the same planes.  (Sd) is
+        left out: the walk over its ten annihilator rows takes about 100 s."""
+        space = projective_space(13, 2)
+        pencils = dual_hexagon_pencils()
+        assert all(len(space.rref(images)) == 2 for images in pencils)
+        dual = LineSet(space, [space.rref(images) for images in pencils])
+        assert (len(dual), len(dual.point_lines), dual.span_dim()) == (63, 63, 13)
+        rep = audit(dual, AxiomConfig.from_names(["Pt", "Pl", "To"]))
+        assert failed(rep) == {"Pl"}
+        assert rep.histograms[2] == {2: 189, 1: 257607}
+        assert rep.histograms[2] == Counter(closure_counts(dual, 2).values())
+        e = [unit(space, i) for i in (8, 12, 13)]
+        assert rep.witnesses == {"Pt": None, "Pl": tuple(e), "To": None}
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_hexagon_embedded_in_a_larger_space(self, n):

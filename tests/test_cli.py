@@ -267,6 +267,18 @@ class TestLargeQ:
         assert_one_error_line(r.stderr, "too large")
 
 
+class TestLargeN:
+    """An n from 20 on is past the point bound for every q, and is refused
+    before q^(n+1), a number of n bits or more, is computed."""
+
+    def test_audit(self, tmp_path):
+        path = tmp_path / "big.pgls"
+        path.write_text("PGLS 1\nn 1000000000\nq 2\n1 0, 0 1\n")
+        r = run_cli("audit", "--in", str(path))
+        assert r.returncode == 2 and r.stdout == ""
+        assert_one_error_line(r.stderr, "PG(1000000000, 2) has more than 1048576 points")
+
+
 @pytest.fixture()
 def empty_file(tmp_path):
     path = tmp_path / "empty.pgls"
@@ -597,7 +609,7 @@ class TestSearch:
     @pytest.mark.parametrize(
         "doc, reason",
         [
-            ({"n": 11, "q": 2, "axioms": ["Pt"]}, "ambient dimension 11"),
+            ({"n": 20, "q": 2, "axioms": ["Pt"]}, "PG(20, 2) has more than 1048576 points"),
             ([], "bad search spec"),
             ({"n": 4, "q": 2, "axioms": ["Pt"], "mdoe": "local-swap"}, "'mdoe'"),
             ({"n": 4, "q": 2, "axioms": ["Pt"], "budegt": 5}, "'budegt'"),

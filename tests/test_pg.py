@@ -240,10 +240,14 @@ class TestAmbient:
             projective_space(6, 13)
 
     def test_dimension_bounds(self):
+        """The point bound alone limits n: PG(13, 2) builds, and from n = 20
+        every PG(n, q) is past the bound."""
         assert projective_space(0, 3).points == [(1,)]
-        for n in (-1, 11):
-            with pytest.raises(ValueError, match="ambient dimension"):
-                projective_space(n, 2)
+        assert len(projective_space(13, 2).points) == 2**14 - 1
+        with pytest.raises(ValueError, match="ambient dimension"):
+            projective_space(-1, 2)
+        with pytest.raises(ValueError, match="more than 1048576 points"):
+            projective_space(20, 2)
 
 
 class TestEnumeration:
