@@ -10,13 +10,17 @@ point x, p_ij(x, y) = x_i y_j - x_j y_i is linear in y, so the points y
 joined to x by a hexagon line, together with x, form the plane pi_x cut
 out by these six equations and the polar equation b(x, y) = 0.  The
 line set is built point by point from these planes rather than by
-filtering the isotropic lines or by orbit generation.  Each point costs
-one 7x7 ``nullspace``; each line is built once, by one row operation,
-at the point that is its second canonical row.  ``LineSet`` drops a
-line built twice.  Every line of the set must pass the predicate above,
-each plane must be a plane, and the line and point counts must equal
-(q^6 - 1) / (q - 1); any failure indicates a broken sign convention and
-aborts construction.
+filtering the isotropic lines or by orbit generation.  Each line is
+built once, by one row operation, at the point that is its second
+canonical row.  That row has its pivot after column 0, so only the
+(q^5 - 1) / (q - 1) quadric points with x0 = 0 build lines, and only
+they cost a 7x7 ``nullspace``: 121 of the 364 points of Q(6, 3).
+``LineSet`` drops a line built twice.  The built set is then checked on
+its own indexes: every point it covers must lie on the quadric, so that
+every line is totally isotropic, every line must satisfy the six
+equations above, each plane must be a plane, and the line and point
+counts must equal (q^6 - 1) / (q - 1); any failure indicates a broken
+sign convention and aborts construction.
 """
 
 from __future__ import annotations
@@ -40,21 +44,27 @@ _LINE_CONDITIONS = (
 )
 
 
-def hexagon_line_predicate(quad: ParabolicQuadric, rows) -> bool:
-    """True iff the totally isotropic line satisfies the six Plücker equations.
+def _meets_line_conditions(gf, x, y) -> bool:
+    """True iff the rows x, y satisfy the six Plücker equations.
 
-    They compare p_ij = x_i y_j - x_j y_i of any basis (x, y) unscaled: a
-    change of basis scales every p_ij alike.
+    They compare p_ij = x_i y_j - x_j y_i of any basis (x, y) of a line
+    unscaled: a change of basis scales every p_ij alike.
     """
-    if not quad.line_is_isotropic(rows):
-        raise ValueError("line is not totally isotropic on Q(6, q)")
-    x, y = rows
-    mul, sub = quad.gf.mul_table, quad.gf.sub_table
+    mul, sub = gf.mul_table, gf.sub_table
 
     def p(i, j):
         return sub[mul[x[i]][y[j]]][mul[x[j]][y[i]]]
 
     return all(p(i, j) == p(k, l) for (i, j), (k, l) in _LINE_CONDITIONS)
+
+
+def hexagon_line_predicate(quad: ParabolicQuadric, rows) -> bool:
+    """True iff the totally isotropic line spanned by ``rows``, any basis,
+    satisfies the six Plücker equations."""
+    if not quad.line_is_isotropic(rows):
+        raise ValueError("line is not totally isotropic on Q(6, q)")
+    x, y = rows
+    return _meets_line_conditions(quad.gf, x, y)
 
 
 def _plane_equations(quad: ParabolicQuadric, x) -> list:
@@ -78,7 +88,8 @@ def _lines_through(quad: ParabolicQuadric, x) -> list:
     Each line through x meets the line of pi_x that misses x in one point
     z.  The second row of its basis is its point of latest pivot, which is
     x exactly when z's pivot comes before x's; the basis is then
-    (z - z[p_x] x, x).
+    (z - z[p_x] x, x).  No pivot comes before column 0, so a point with
+    x0 = 1 gets ``[]``.
     """
     space = quad.space
     plane = space.nullspace(_plane_equations(quad, x))
@@ -96,16 +107,15 @@ def build(q: int) -> LineSet:
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
     quad = parabolic_quadric(q)
-    ls = LineSet(quad.space, (key for x in quad.points() for key in _lines_through(quad, x)))
-    for rows in ls.lines:
-        try:
-            ok = hexagon_line_predicate(quad, rows)
-        except ValueError:  # not totally isotropic
-            ok = False
-        if not ok:
-            raise InternalConsistencyError(
-                f"H({q}) construction built a non-hexagon line {rows}"
-            )
+    # Only a point with x0 = 0 can be a line's second canonical row.
+    born = (key for x in quad.points() if not x[0] for key in _lines_through(quad, x))
+    ls = LineSet(quad.space, born)
+    pts = quad.space.points
+    off_quadric = (ls.lines[ids[0]] for pi, ids in ls.point_lines.items() if quad.form(pts[pi]))
+    unsplit = (rows for rows in ls.lines if not _meets_line_conditions(quad.gf, *rows))
+    bad = next(off_quadric, None) or next(unsplit, None)
+    if bad is not None:
+        raise InternalConsistencyError(f"H({q}) construction built a non-hexagon line {bad}")
     expected = (q**6 - 1) // (q - 1)
     if len(ls) != expected:
         raise InternalConsistencyError(

@@ -41,10 +41,11 @@ def gaussian_binomial(n_dim: int, k: int, q: int) -> int:
     return num // den
 
 
-# Bounds the point table before it is built, and with it n: that of
-# PG(6, 8), 299 593 points, adds 50 MB of peak RSS and takes 0.2 s (2-core
-# VM, Python 3.11.7), and the table grows linearly in the point count.
-MAX_POINTS = 1 << 20
+# Bounds the point table before it is built, and with it n, by its
+# coordinate count, points times n + 1: that of PG(6, 8), 299 593 points of
+# 7 coordinates, adds 50 MB of peak RSS and takes 0.2 s (2-core VM, Python
+# 3.11.7), and the table grows linearly in its coordinates.
+MAX_COORDINATES = (1 << 21) - 1
 
 
 class PG:
@@ -56,11 +57,12 @@ class PG:
         self.n = n
         self.q = q
         self.gf: GF = field(q)
-        # PG(n, q) has at least 2^(n+1) - 1 points, past the bound from
-        # n = 20, so such n is refused before q^(n+1) is computed.
-        if n >= 20 or gaussian_binomial(n + 1, 1, q) > MAX_POINTS:
-            raise ValueError(f"PG({n}, {q}) has more than {MAX_POINTS} points")
+        # PG(n, q) has at least 2^(n+1) - 1 points of n + 1 coordinates,
+        # past the bound from n = 16, so an n of 20 or more is refused
+        # before q^(n+1), a number of n bits or more, is computed.
         self.width = n + 1
+        if n >= 20 or gaussian_binomial(self.width, 1, q) * self.width > MAX_COORDINATES:
+            raise ValueError(f"PG({n}, {q}) has more than {MAX_COORDINATES} point coordinates")
         pts = []
         for lead in range(self.width):
             prefix = (0,) * lead + (1,)

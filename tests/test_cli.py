@@ -268,15 +268,18 @@ class TestLargeQ:
 
 
 class TestLargeN:
-    """An n from 20 on is past the point bound for every q, and is refused
-    before q^(n+1), a number of n bits or more, is computed."""
+    """An n from 20 on is past the coordinate bound for every q, and is
+    refused before q^(n+1), a number of n bits or more, is computed."""
 
     def test_audit(self, tmp_path):
         path = tmp_path / "big.pgls"
         path.write_text("PGLS 1\nn 1000000000\nq 2\n1 0, 0 1\n")
         r = run_cli("audit", "--in", str(path))
         assert r.returncode == 2 and r.stdout == ""
-        assert_one_error_line(r.stderr, "PG(1000000000, 2) has more than 1048576 points")
+        assert_one_error_line(
+            r.stderr, "PG(1000000000, 2) has more than 2097151 point coordinates"
+        )
+
 
 
 @pytest.fixture()
@@ -400,7 +403,11 @@ class TestAudit:
             ("PGLS 1\nn 4\nq 3\n0 0 0 0 0, 0 1 2 0 1\n", "not a line: projdim 0"),
             (
                 "PGLS 1\nn 10\nq 13\n1 0 0 0 0 0 0 0 0 0 0, 0 1 0 0 0 0 0 0 0 0 0\n",
-                "PG(10, 13) has more than 1048576 points",
+                "PG(10, 13) has more than 2097151 point coordinates",
+            ),
+            (
+                "PGLS 1\nn 16\nq 2\n1" + " 0" * 16 + ", 0 1" + " 0" * 15 + "\n",
+                "PG(16, 2) has more than 2097151 point coordinates",
             ),
         ],
     )
@@ -609,7 +616,10 @@ class TestSearch:
     @pytest.mark.parametrize(
         "doc, reason",
         [
-            ({"n": 20, "q": 2, "axioms": ["Pt"]}, "PG(20, 2) has more than 1048576 points"),
+            (
+                {"n": 20, "q": 2, "axioms": ["Pt"]},
+                "PG(20, 2) has more than 2097151 point coordinates",
+            ),
             ([], "bad search spec"),
             ({"n": 4, "q": 2, "axioms": ["Pt"], "mdoe": "local-swap"}, "'mdoe'"),
             ({"n": 4, "q": 2, "axioms": ["Pt"], "budegt": 5}, "'budegt'"),
@@ -623,7 +633,14 @@ class TestSearch:
             ({"q": 2, "axioms": ["Pt"]}, "missing required key 'n'"),
             ({"n": 0, "q": 2, "axioms": ["Pt"], "budget": 5}, "n must be at least 2"),
             ({"n": 1, "q": 2, "axioms": ["Pt"], "budget": 5}, "n must be at least 2"),
-            ({"n": 10, "q": 16, "axioms": ["Pt"], "budget": 5}, "more than 1048576 points"),
+            (
+                {"n": 10, "q": 16, "axioms": ["Pt"], "budget": 5},
+                "more than 2097151 point coordinates",
+            ),
+            (
+                {"n": 16, "q": 2, "axioms": ["Pt"]},
+                "PG(16, 2) has more than 2097151 point coordinates",
+            ),
         ],
     )
     def test_unusable_spec_is_usage_error(self, tmp_path, capsys, doc, reason):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from hexaudit.hexagon import (
     verify_flat_full,
 )
 from hexaudit.lineset import LineSet
-from hexaudit.pg import projective_space
+from hexaudit.pg import PG, projective_space
 from hexaudit.quadric import parabolic_quadric
 from referees import PluckerCoords
 
@@ -80,6 +81,29 @@ class TestPlaneConstruction:
         built = [key for x in quad.points() for key in _lines_through(quad, x)]
         assert len(built) == len(set(built)) == (q**6 - 1) // (q - 1)
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_points_with_x0_one_build_no_line(self, q):
+        """A line's second canonical row has its pivot after column 0."""
+        quad = parabolic_quadric(q)
+        for x in quad.points():
+            if x[0]:
+                assert _lines_through(quad, x) == []
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_planes_only_at_points_with_x0_zero(self, q, monkeypatch):
+        """One nullspace per quadric point with x0 = 0, a cone over Q(4, q)
+        with vertex e4: 1 + q (q^3 + q^2 + q + 1) = (q^5 - 1) / (q - 1)."""
+        calls = []
+        nullspace = PG.nullspace
+
+        def counted(space, rows):
+            calls.append(rows)
+            return nullspace(space, rows)
+
+        monkeypatch.setattr(PG, "nullspace", counted)
+        build(q)
+        assert len(calls) == (q**5 - 1) // (q - 1)
+
     def test_without_the_polar_row_build_raises(self, monkeypatch):
         equations = hexagon_module._plane_equations
         monkeypatch.setattr(
@@ -97,6 +121,23 @@ class TestPlaneConstruction:
             hexagon_module, "_lines_through", lambda quad, x: pencil(quad, x) + [stray]
         )
         with pytest.raises(InternalConsistencyError, match="non-hexagon line"):
+            build(2)
+
+    def test_isotropic_non_hexagon_line_build_raises(self, monkeypatch):
+        """An isotropic line of Q(6, 2) outside H(2), added at its second
+        canonical row, a point with x0 = 0, fails the Plücker check."""
+        quad = parabolic_quadric(2)
+        chosen = set(build(2).lines)
+        stray = next(rows for rows in quad.isotropic_lines() if rows not in chosen)
+        assert stray[1][0] == 0
+        pencil = hexagon_module._lines_through
+
+        def with_stray(quad, x):
+            return pencil(quad, x) + ([stray] if x == stray[1] else [])
+
+        monkeypatch.setattr(hexagon_module, "_lines_through", with_stray)
+        message = re.escape(f"non-hexagon line {stray}")
+        with pytest.raises(InternalConsistencyError, match=message):
             build(2)
 
     def test_line_built_twice_build_raises(self, monkeypatch):

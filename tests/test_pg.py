@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexaudit.lineset import LineSet
 from hexaudit.pg import (
+    MAX_COORDINATES,
     PG,
     gaussian_binomial,
     projective_space,
@@ -234,19 +235,30 @@ class TestNullspace:
 
 class TestAmbient:
     def test_point_bound(self):
-        with pytest.raises(ValueError, match="more than 1048576 points"):
+        with pytest.raises(ValueError, match="more than 2097151 point coordinates"):
             projective_space(10, 13)
-        with pytest.raises(ValueError, match="more than 1048576 points"):
+        with pytest.raises(ValueError, match="more than 2097151 point coordinates"):
             projective_space(6, 13)
 
+    def test_coordinate_bound(self):
+        """The bound is PG(6, 8)'s coordinate count, 299 593 points of 7
+        coordinates, which builds; PG(15, 2) (65 535 points of 16) builds,
+        and PG(16, 2) (131 071 points of 17) is refused."""
+        assert gaussian_binomial(7, 1, 8) * 7 == MAX_COORDINATES
+        assert len(PG(6, 8).points) == 299_593
+        assert len(PG(15, 2).points) == 2**16 - 1
+        message = r"^PG\(16, 2\) has more than 2097151 point coordinates$"
+        with pytest.raises(ValueError, match=message):
+            PG(16, 2)
+
     def test_dimension_bounds(self):
-        """The point bound alone limits n: PG(13, 2) builds, and from n = 20
-        every PG(n, q) is past the bound."""
+        """The coordinate bound alone limits n: PG(13, 2) builds, and from
+        n = 16 every PG(n, q) is past the bound."""
         assert projective_space(0, 3).points == [(1,)]
         assert len(projective_space(13, 2).points) == 2**14 - 1
         with pytest.raises(ValueError, match="ambient dimension"):
             projective_space(-1, 2)
-        with pytest.raises(ValueError, match="more than 1048576 points"):
+        with pytest.raises(ValueError, match="more than 2097151 point coordinates"):
             projective_space(20, 2)
 
 
