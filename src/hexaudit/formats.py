@@ -23,6 +23,8 @@ from .lineset import LineSet
 from .pg import projective_space
 
 PGLS_MAGIC = "PGLS 1"
+# What a body line holds besides whitespace: coordinates and the comma.
+_BODY_CHARS = frozenset("0123456789,")
 
 
 def dump_lineset(ls: LineSet) -> str:
@@ -65,9 +67,15 @@ def load_lineset(text: str) -> LineSet:
             )
     elif modulus is not None:
         raise ValueError("modulus given for a prime field")
+    body = lines[idx:]
+    # int() would also take "+1", "0_1" and non-ASCII digits such as "\u0661".
+    odd = {c for c in set("".join(body)).difference(_BODY_CHARS) if not c.isspace()}
+    if odd:
+        ln = next(ln for ln in body if not odd.isdisjoint(ln))
+        raise ValueError(f"coordinates must be ASCII decimal digits: {ln!r}")
     space = projective_space(n, q)
     keys = []
-    for ln in lines[idx:]:
+    for ln in body:
         halves = ln.split(",")
         if len(halves) != 2:
             raise ValueError(f"malformed body line: {ln!r}")

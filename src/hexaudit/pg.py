@@ -21,7 +21,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, cached_property
 
 from .gf import GF, field
 
@@ -39,6 +39,16 @@ def gaussian_binomial(n_dim: int, k: int, q: int) -> int:
         num *= q ** (n_dim - i) - 1
         den *= q ** (k - i) - 1
     return num // den
+
+
+def bit_slices(vectors, width: int, q: int) -> list[list[int]]:
+    """``sl[k][a]``: the bitmask of the vectors whose coordinate k is a."""
+    sl = [[0] * q for _ in range(width)]
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        for col, a in zip(sl, v):
+            col[a] |= bit
+    return sl
 
 
 # Bounds the point table before it is built, and with it n, by its
@@ -76,6 +86,11 @@ class PG:
         self.key = (n, q)
         self._rref_rows: dict = {}
         self._rref_bases: dict = {}
+
+    @cached_property
+    def point_slices(self) -> list[list[int]]:
+        """``bit_slices`` of the point table, built on first use."""
+        return bit_slices(self.points, self.width, self.q)
 
     # -- vectors --
 

@@ -1,6 +1,7 @@
 """Slow referees that only the tests call: the closure enumeration of the
-audit's counts and Plücker coordinates of a line; and, for a subspace given
-by its RREF rows, membership of a vector and the rows of the whole space.
+audit's counts, Plücker coordinates of a line and the bit-sliced vectors
+orthogonal to one form; and, for a subspace given by its RREF rows,
+membership of a vector and the rows of the whole space.
 
 Plücker coordinates are stored for i < j; the signed accessor returns
 ``-p_ij`` when asked for ``p(j, i)``.  In characteristic 2 the sign is
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from hexaudit.audit import _step
 from hexaudit.gf import GF
 from hexaudit.lineset import LineSet
 from hexaudit.pg import PG
@@ -25,6 +27,16 @@ def whole_space(space: PG) -> tuple:
     """The RREF basis of the whole space: the identity rows."""
     w = space.width
     return tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
+
+
+def orthogonal(sl, form, gf: GF) -> int:
+    """The bitmask of the vectors v with form . v == 0, the vectors being
+    those of the slices ``sl``: one sum over every coordinate of the form
+    (the slices of one coordinate sum to all vectors)."""
+    part = [sum(sl[0])] + [0] * (gf.q - 1)
+    for col, f in zip(sl, form):
+        part = _step(part, col, f, gf)
+    return part[0]
 
 
 def closure_counts(ls: LineSet, d: int) -> Counter:

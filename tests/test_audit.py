@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,12 +16,10 @@ from hexaudit.audit import (
     AXIOMS,
     AxiomConfig,
     _audit,
-    _bit_slices,
     _dict_source,
     _DualCounts,
     _hyperplane_basis,
     _naive_counts,
-    _orthogonal,
     _sliced_counts,
     _value_masks,
     audit,
@@ -33,12 +32,12 @@ from hexaudit.errors import InternalConsistencyError
 from hexaudit.formats import dump_lineset, dumps_report, report_document
 from hexaudit.hexagon import build
 from hexaudit.lineset import LineSet
-from hexaudit.pg import PG, gaussian_binomial, projective_space
+from hexaudit.pg import PG, bit_slices, gaussian_binomial, projective_space
 from hexaudit.polygon import girth_and_diameter
 from hexaudit.quadric import parabolic_quadric
 from conftest import build_cached
 from lemmas import MAIN_THEOREM, expansion_bound, hyperplane_consequence_check
-from referees import PluckerCoords, closure_counts, contains, whole_space
+from referees import PluckerCoords, closure_counts, contains, orthogonal, whole_space
 
 # Benchmark goldens and inputs, read only: PGLS digests and report documents.
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -389,15 +388,23 @@ def padded_h2_closure(d):
 
 
 def per_hyperplane_masks(ls):
-    """Referee for ``_DualCounts.masks``: two ``_orthogonal`` passes per
+    """Referee for ``_DualCounts.masks``: two ``orthogonal`` sums per
     hyperplane, over the x rows and over the y rows of the lines."""
     space, lines = ls.space, ls.lines
-    xs = _bit_slices((x for x, _ in lines), space.width, space.q)
-    ys = _bit_slices((y for _, y in lines), space.width, space.q)
+    xs = bit_slices((x for x, _ in lines), space.width, space.q)
+    ys = bit_slices((y for _, y in lines), space.width, space.q)
     return [
-        _orthogonal(xs, h, space.gf) & _orthogonal(ys, h, space.gf)
+        orthogonal(xs, h, space.gf) & orthogonal(ys, h, space.gf)
         for h in space.points
     ]
+
+
+def per_row_line_hyperplanes(ls):
+    """Referee for ``_DualCounts.line_hyperplanes``: the AND of two
+    ``orthogonal`` sums over the point table, one per row of the line."""
+    space = ls.space
+    sl = bit_slices(space.points, space.width, space.q)
+    return [orthogonal(sl, x, space.gf) & orthogonal(sl, y, space.gf) for x, y in ls.lines]
 
 
 RANDOM_PAIRS = st.lists(
@@ -410,14 +417,45 @@ class TestDualKernel:
     whole report dicts: histograms, verdicts and witnesses."""
 
     def test_masks_match_per_hyperplane_referee(self, h2, h3):
-        for ls in (h2, h3):
+        for ls in (h2, h3, padded_h2()):
+            assert len(ls.lines) * len(ls.space.points) <= audit_module.TRANSPOSE_CELLS
             assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
 
     @settings(max_examples=40, deadline=None)
     @given(space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]), pairs=RANDOM_PAIRS)
     def test_random_masks_match_per_hyperplane_referee(self, space_key, pairs):
         ls = lineset_from_pairs(space_key, pairs)
+        assert len(ls.lines) * len(ls.space.points) <= audit_module.TRANSPOSE_CELLS
         assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+
+    def test_walked_masks_match_per_hyperplane_referee(self, h2, h3):
+        with mock.patch.object(audit_module, "TRANSPOSE_CELLS", 0):
+            for ls in (h2, h3, padded_h2()):
+                assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]), pairs=RANDOM_PAIRS)
+    def test_random_walked_masks_match_per_hyperplane_referee(self, space_key, pairs):
+        ls = lineset_from_pairs(space_key, pairs)
+        with mock.patch.object(audit_module, "TRANSPOSE_CELLS", 0):
+            assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+
+    def test_h4_tables_match_referees_on_the_walk(self):
+        ls = build_cached(4)
+        assert len(ls.lines) * len(ls.space.points) > audit_module.TRANSPOSE_CELLS
+        kernel = _DualCounts(ls)
+        assert kernel.line_hyperplanes == per_row_line_hyperplanes(ls)
+        assert kernel.masks == per_hyperplane_masks(ls)
+
+    def test_line_hyperplanes_match_per_row_referee(self, h2, h3):
+        for ls in (h2, h3, padded_h2()):
+            assert _DualCounts(ls).line_hyperplanes == per_row_line_hyperplanes(ls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]), pairs=RANDOM_PAIRS)
+    def test_random_line_hyperplanes_match_per_row_referee(self, space_key, pairs):
+        ls = lineset_from_pairs(space_key, pairs)
+        assert _DualCounts(ls).line_hyperplanes == per_row_line_hyperplanes(ls)
 
     def test_h2_matches_naive(self, h2):
         cfg = AxiomConfig.all()

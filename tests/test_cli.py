@@ -409,6 +409,10 @@ class TestAudit:
                 "PGLS 1\nn 16\nq 2\n1" + " 0" * 16 + ", 0 1" + " 0" * 15 + "\n",
                 "PG(16, 2) has more than 2097151 point coordinates",
             ),
+            # Coordinates that int() would read as 1.
+            ("PGLS 1\nn 2\nq 3\n+1 0 0, 0 1 0\n", "coordinates must be ASCII decimal digits"),
+            ("PGLS 1\nn 2\nq 3\n0_1 0 0, 0 1 0\n", "coordinates must be ASCII decimal digits"),
+            ("PGLS 1\nn 2\nq 3\n\u0661 0 0, 0 1 0\n", "coordinates must be ASCII decimal digits"),
         ],
     )
     def test_audit_unusable_file_is_usage_error(self, tmp_path, capsys, text, reason):

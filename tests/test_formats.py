@@ -73,6 +73,12 @@ class TestLoadErrors:
         with pytest.raises(ValueError):
             load_lineset("PGLS 1\nn 3\nq 2\n1 0 0 0 0 1 0 0\n")
 
+    @pytest.mark.parametrize("token", ["+1", "0_1", "\u0661"])
+    def test_coordinate_not_ascii_digits(self, token):
+        """int() takes each of these as 1; a PGLS coordinate is ASCII digits."""
+        with pytest.raises(ValueError, match="coordinates must be ASCII decimal digits"):
+            load_lineset(f"PGLS 1\nn 2\nq 3\n{token} 0 0, 0 1 0\n")
+
 
 class TestReports:
     def test_envelope(self):

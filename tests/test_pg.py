@@ -6,6 +6,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hexaudit.pg as pg_module
+from hexaudit.audit import AxiomConfig, audit
 from hexaudit.lineset import LineSet
 from hexaudit.pg import (
     MAX_COORDINATES,
@@ -393,6 +395,34 @@ class TestMemo:
         del space
         gc.collect()
         assert ref() is None
+
+
+class TestPointSlices:
+    """The point table's bit slices are a table of the space, built on
+    first use, as the search's in-run audits of one space need them."""
+
+    def test_not_built_by_init(self):
+        assert "point_slices" not in vars(PG(4, 2))
+
+    def test_two_audits_build_them_once(self, monkeypatch):
+        space = PG(4, 3)
+        built = []
+        real = pg_module.bit_slices
+
+        def counted(vectors, width, q):
+            built.append(vectors is space.points)
+            return real(vectors, width, q)
+
+        monkeypatch.setattr(pg_module, "bit_slices", counted)
+        pts = space.points
+        for pairs in (((0, 1), (0, 2)), ((3, 40), (5, 77), (6, 100))):
+            ls = LineSet(space, [(pts[a], pts[b]) for a, b in pairs])
+            audit(ls, AxiomConfig.all())
+        assert built == [True]
+        assert space.point_slices == real(pts, space.width, space.q)
+        for k, col in enumerate(space.point_slices):
+            for a, mask in enumerate(col):
+                assert mask == sum(1 << i for i, p in enumerate(pts) if p[k] == a)
 
 
 class TestRrefRowIndices:
