@@ -418,32 +418,38 @@ class TestDualKernel:
 
     def test_masks_match_per_hyperplane_referee(self, h2, h3):
         for ls in (h2, h3, padded_h2()):
-            assert len(ls.lines) * len(ls.space.points) <= audit_module.TRANSPOSE_CELLS
-            assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+            kernel = _DualCounts(ls)
+            assert kernel.transposes
+            assert kernel.masks == per_hyperplane_masks(ls)
 
     @settings(max_examples=40, deadline=None)
     @given(space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]), pairs=RANDOM_PAIRS)
     def test_random_masks_match_per_hyperplane_referee(self, space_key, pairs):
         ls = lineset_from_pairs(space_key, pairs)
-        assert len(ls.lines) * len(ls.space.points) <= audit_module.TRANSPOSE_CELLS
-        assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+        kernel = _DualCounts(ls)
+        assert kernel.transposes
+        assert kernel.masks == per_hyperplane_masks(ls)
 
     def test_walked_masks_match_per_hyperplane_referee(self, h2, h3):
         with mock.patch.object(audit_module, "TRANSPOSE_CELLS", 0):
             for ls in (h2, h3, padded_h2()):
-                assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+                kernel = _DualCounts(ls)
+                assert not kernel.transposes
+                assert kernel.masks == per_hyperplane_masks(ls)
 
     @settings(max_examples=40, deadline=None)
     @given(space_key=st.sampled_from([(4, 2), (4, 3), (5, 2)]), pairs=RANDOM_PAIRS)
     def test_random_walked_masks_match_per_hyperplane_referee(self, space_key, pairs):
         ls = lineset_from_pairs(space_key, pairs)
         with mock.patch.object(audit_module, "TRANSPOSE_CELLS", 0):
-            assert _DualCounts(ls).masks == per_hyperplane_masks(ls)
+            kernel = _DualCounts(ls)
+            assert not kernel.transposes
+            assert kernel.masks == per_hyperplane_masks(ls)
 
     def test_h4_tables_match_referees_on_the_walk(self):
         ls = build_cached(4)
-        assert len(ls.lines) * len(ls.space.points) > audit_module.TRANSPOSE_CELLS
         kernel = _DualCounts(ls)
+        assert not kernel.transposes
         assert kernel.line_hyperplanes == per_row_line_hyperplanes(ls)
         assert kernel.masks == per_hyperplane_masks(ls)
 
