@@ -46,12 +46,12 @@ process:
   subspaces whose counts it rejects.  A larger first pivot P1, the
   leading column of the basis's first row, always gives a byte-smaller
   basis, so the witness lies among the rejected U of the largest P1, and
-  only those get a basis: the nullspace of U's annihilator rows.  P1 is
-  the number of leading annihilator rows that are the unit vectors e_0,
-  e_1, ...: U lies in x_0 = ... = x_{c-1} = 0 exactly when e_0 .. e_{c-1}
-  are in the annihilator's span, and an RREF row with pivot i < c is then
-  e_i itself.  A hyperplane's basis is read straight from its one row
-  (``_hyperplane_basis``), so no witness at d = n-1 needs a nullspace.
+  only those get a basis: ``PG.nullspace`` of U's annihilator rows, which
+  for a hyperplane's one row needs no elimination, and of no rows for
+  the whole space.  P1 is the number of leading annihilator rows that are
+  the unit vectors e_0, e_1, ...: U lies in x_0 = ... = x_{c-1} = 0
+  exactly when e_0 .. e_{c-1} are in the annihilator's span, and an RREF
+  row with pivot i < c is then e_i itself.
 * Planes (d = 2) skip the walk.  Two lines of a plane meet, so
   every plane of c >= 2 lines is spanned by the C(c, 2) pairs of lines
   through a common point, each counted at that point; H[l] & H[m], the
@@ -348,23 +348,6 @@ def _value_masks(sl: list[int], family: int):
                 stack.append((i - 1, lo, c))
 
 
-def _hyperplane_basis(h, gf) -> tuple[tuple[int, ...], ...]:
-    """The canonical basis of the hyperplane h . x = 0, without elimination:
-    with e the last nonzero coordinate of h, its rows are
-    e_j - (h_j / h_e) e_e for j != e, in order of j."""
-    e = len(h) - 1
-    while not h[e]:
-        e -= 1
-    a = gf.mul_table[gf.neg_table[gf.inv_table[h[e]]]]
-    rows = []
-    for j, x in enumerate(h):
-        if j != e:
-            row = [0] * len(h)
-            row[j], row[e] = 1, a[x]
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _runs(hyps) -> list[tuple[int, int, int]]:
     """(start, mask, position) for each run of consecutive indices in the
     ascending ``hyps``: bits start.. of a mask over all indices, cut by
@@ -445,12 +428,6 @@ class _DualCounts:
         """Whether ``masks`` reads B from H's transpose: |L| times the
         hyperplane count is at most ``TRANSPOSE_CELLS``."""
         return len(self.ls.lines) * len(self.ls.space.points) <= TRANSPOSE_CELLS
-
-    @cached_property
-    def identity(self) -> tuple:
-        """The unit vectors e_0 .. e_n, the whole space's canonical basis."""
-        w = self.ls.space.width
-        return tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
 
     @cached_property
     def line_hyperplanes(self) -> list[int]:
@@ -611,7 +588,7 @@ class _DualCounts:
                 products = _ProductMasks(line_hyps, first, second) if grid else None
                 walk(0, (1 << nlines) - 1, ())
         points = space.points
-        units = list(map(space.point_index.__getitem__, self.identity))
+        units = [space.rref_row_indices(i, ())[0] for i in range(space.width)]
 
         def first_pivot(hyps):
             """How many of e_0, e_1, ... in turn are rows: U's first pivot."""
@@ -623,8 +600,7 @@ class _DualCounts:
         return (
             tally,
             [(first_pivot(hyps), hyps, c) for hyps, c in flagged],
-            (lambda hyps: _hyperplane_basis(points[hyps[0]], space.gf)) if k == 1
-            else (lambda hyps: space.nullspace([points[h] for h in hyps])),
+            lambda hyps: space.nullspace([points[h] for h in hyps]),
         )
 
     def __call__(self, d: int, bad: frozenset):
@@ -633,7 +609,7 @@ class _DualCounts:
         nlines = len(self.ls.lines)
         if k == 0:
             whole = [(0, (), nlines)] if nlines in bad else []
-            return {nlines: 1}, whole, lambda _: self.identity
+            return {nlines: 1}, whole, lambda _: space.nullspace(())
         if 1 in bad:
             raise InternalConsistencyError(f"an axiom at d = {d} rejects count 1")
         tally, flagged, basis = self._planes(bad) if d == 2 else self._walk(k, bad)

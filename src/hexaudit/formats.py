@@ -40,6 +40,14 @@ def dump_lineset(ls: LineSet) -> str:
     return "\n".join(header + body) + "\n"
 
 
+def _header_number(key: str, text: str) -> int:
+    """A header number; int() would also take "+2", "0_3" and non-ASCII
+    digits such as "\u0662"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"header field {key!r} must be ASCII decimal digits: {text!r}")
+    return int(text)
+
+
 def load_lineset(text: str) -> LineSet:
     """Parse a PGLS file; raises ``ValueError`` on malformed input."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -57,8 +65,11 @@ def load_lineset(text: str) -> LineSet:
         idx += 1
     if "n" not in header or "q" not in header:
         raise ValueError("PGLS header must declare n and q")
-    n, q = int(header["n"]), int(header["q"])
-    modulus = tuple(map(int, header["modulus"].split())) if "modulus" in header else None
+    n, q = (_header_number(key, header[key].strip()) for key in ("n", "q"))
+    if "modulus" in header:
+        modulus = tuple(_header_number("modulus", c) for c in header["modulus"].split())
+    else:
+        modulus = None
     gf = field(q)
     if gf.e > 1:
         if modulus != gf.modulus:

@@ -10,17 +10,17 @@ point x, p_ij(x, y) = x_i y_j - x_j y_i is linear in y, so the points y
 joined to x by a hexagon line, together with x, form the plane pi_x cut
 out by these six equations and the polar equation b(x, y) = 0.  The
 line set is built point by point from these planes rather than by
-filtering the isotropic lines or by orbit generation.  Each line is
-built once, by one row operation, at the point that is its second
-canonical row.  That row has its pivot after column 0, so only the
-(q^5 - 1) / (q - 1) quadric points with x0 = 0 build lines, and only
-they cost a 7x7 ``nullspace``: 121 of the 364 points of Q(6, 3).
-``LineSet`` drops a line built twice.  The built set is then checked on
-its own indexes: every point it covers must lie on the quadric, so that
-every line is totally isotropic, every line must satisfy the six
-equations above, each plane must be a plane, and the line and point
-counts must equal (q^6 - 1) / (q - 1); any failure indicates a broken
-sign convention and aborts construction.
+filtering the isotropic lines or by orbit generation: the lines through
+x are ``PG.pencil`` of pi_x at x.  Each line is kept once, at the point
+that is its second canonical row.  That row has its pivot after column
+0, so only the (q^5 - 1) / (q - 1) quadric points with x0 = 0 build
+lines, each at the cost of a 7x7 ``nullspace`` and q + 1 joins: 121 of
+the 364 points of Q(6, 3).  ``LineSet`` drops a line built twice.  The
+built set is then checked on its own indexes: every point it covers
+must lie on the quadric, so that every line is totally isotropic, every
+line must satisfy the six equations above, each plane must be a plane,
+and the line and point counts must equal (q^6 - 1) / (q - 1); any
+failure indicates a broken sign convention and aborts construction.
 """
 
 from __future__ import annotations
@@ -83,23 +83,16 @@ def _plane_equations(quad: ParabolicQuadric, x) -> list:
 
 def _lines_through(quad: ParabolicQuadric, x) -> list:
     """Canonical bases of the lines of H(q) through the quadric point x whose
-    second row is x, so that ``build`` makes each line once.
-
-    Each line through x meets the line of pi_x that misses x in one point
-    z.  The second row of its basis is its point of latest pivot, which is
-    x exactly when z's pivot comes before x's; the basis is then
-    (z - z[p_x] x, x).  No pivot comes before column 0, so a point with
-    x0 = 1 gets ``[]``.
-    """
+    second row is x, so that ``build`` makes each line once: the pencil at
+    x of the plane pi_x, filtered.  No pivot comes before column 0, so a
+    point with x0 = 1 gets ``[]``."""
     space = quad.space
     plane = space.nullspace(_plane_equations(quad, x))
     if len(plane) != 3:
         raise InternalConsistencyError(
             f"H({quad.gf.q}): the plane of point {x} has {len(plane)} rows, expected 3"
         )
-    px, pts = x.index(1), space.points
-    line = space.line_point_indices(space.missing_line(x, plane))
-    return [space.join(z, x) for z in map(pts.__getitem__, line) if z.index(1) < px]
+    return [key for key in space.pencil(x, plane) if key[1] == x]
 
 
 def build(q: int) -> LineSet:

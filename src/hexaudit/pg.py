@@ -169,12 +169,26 @@ class PG:
         One reduction, from the right: in the RREF of the column-reversed
         rows, each row ends in a 1 at a column where the other rows are 0.
         For every other column j, e_j - sum(row[j] * e_end) is then already
-        the canonical basis row with pivot j.
+        the canonical basis row with pivot j.  One nonzero row h, a
+        hyperplane, needs no elimination: with e the last nonzero column
+        of h, the rows are e_j - (h_j / h_e) e_e for j != e.
         """
         w = self.width
         neg = self.gf.neg_table
-        ends = {w - 1 - r.index(1): r[::-1] for r in self.rref([r[::-1] for r in rows])}
         basis = []
+        if len(rows) == 1 and len(rows[0]) == w and any(rows[0]):
+            h = rows[0]
+            e = w - 1
+            while not h[e]:
+                e -= 1
+            a = self.gf.mul_table[neg[self.gf.inv_table[h[e]]]]
+            for j in range(w):
+                if j != e:
+                    v = [0] * w
+                    v[j], v[e] = 1, a[h[j]]
+                    basis.append(tuple(v))
+            return tuple(basis)
+        ends = {w - 1 - r.index(1): r[::-1] for r in self.rref([r[::-1] for r in rows])}
         for j in range(w):
             if j not in ends:
                 v = [0] * w
@@ -258,26 +272,18 @@ class PG:
             out.append(idx[tuple([add[a][mt[b]] for a, b in zip(x, y)])])
         return tuple(out)
 
-    def missing_line(self, x, plane) -> tuple:
-        """Two of the three RREF rows of a plane through the point x, spanning
-        a line of the plane that misses x.
-
-        x has its pivot coordinates as coefficients on the rows (each row
-        leads with 1), so the two rows left after dropping one that x uses
-        do not span x.
-        """
-        drop = next(r for r in plane if x[r.index(1)])
-        return tuple(r for r in plane if r is not drop)
-
     def pencil(self, x, plane) -> list:
         """Sorted canonical bases of the q+1 lines through the point x in a plane:
-        x joined to each point of ``missing_line(x, plane)``.
+        x joined to each point of a line of the plane that misses x.
 
         ``plane`` must be the three RREF rows of a plane that contains x.
+        x has its pivot coordinates as coefficients on the rows (each row
+        leads with 1), so the two rows left after dropping one that x uses
+        span a line that misses x.
         """
-        pts = self.points
-        line = self.line_point_indices(self.missing_line(x, plane))
-        return sorted(self.join(x, pts[z]) for z in line)
+        drop = next(r for r in plane if x[r.index(1)])
+        line = self.line_point_indices(tuple(r for r in plane if r is not drop))
+        return sorted(self.join(x, self.points[z]) for z in line)
 
     def enumerate_subspaces(self, d: int):
         """The RREF bases of all d-dimensional subspaces, in lexicographic order."""

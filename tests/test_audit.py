@@ -18,7 +18,6 @@ from hexaudit.audit import (
     _audit,
     _dict_source,
     _DualCounts,
-    _hyperplane_basis,
     _naive_counts,
     _sliced_counts,
     _value_masks,
@@ -749,7 +748,8 @@ class TestWitnessRanking:
 
     def test_dense_set_makes_few_nullspaces(self, monkeypatch):
         """300 random lines of PG(6, 2) flag thousands of subspaces, each of
-        which once got a nullspace; now only the top class gets one."""
+        which once got a nullspace; now only the top class gets one.  The
+        calls of two or more rows, below the hyperplanes, are counted."""
         calls = []
         nullspace = PG.nullspace
 
@@ -759,33 +759,46 @@ class TestWitnessRanking:
 
         monkeypatch.setattr(PG, "nullspace", counted)
         audit(seeded_lineset(6, 2, 300, "dense-pg6-2"), AxiomConfig.all())
-        assert len(calls) == 13
+        assert sum(len(rows) >= 2 for rows in calls) == 13
 
-    @pytest.mark.parametrize("n, q", [(4, 2), (4, 3), (3, 4)])
+    @pytest.mark.parametrize(
+        "n, q", [(4, 2), (4, 3), (3, 4), (2, 5), (2, 7), (2, 8), (2, 9)]
+    )
     def test_hyperplane_basis_is_the_nullspace(self, n, q):
+        """One row, a hyperplane's, takes ``nullspace``'s branch without
+        elimination; the same row twice takes elimination.  Every point,
+        every nonzero multiple of it, and the zero row."""
         space = projective_space(n, q)
-        for h in space.points:
-            assert _hyperplane_basis(h, space.gf) == space.nullspace([h])
+        mul = space.gf.mul_table
+        rows = [tuple(mul[c][a] for a in h) for h in space.points for c in range(1, q)]
+        for h in rows + [(0,) * space.width]:
+            assert space.nullspace([h]) == space.nullspace([h, h]), h
 
     def test_one_nullspace_per_hyperplane_witness(self, monkeypatch):
         """At d = n-1 each rejected hyperplane of the top class gets its
-        basis read from its row, without a nullspace: 60 random lines of
-        PG(4, 3) fail (Sd) on 89 hyperplanes and (Sd') on 38, with two
-        witnesses, and make no nullspace call."""
-        calls = []
-        nullspace = PG.nullspace
+        basis from a one-row nullspace, without elimination: 60 random lines
+        of PG(4, 3) fail (Sd) on 89 hyperplanes and (Sd') on 38, with two
+        witnesses, and make only one-row nullspace calls and no rref call."""
+        calls, rrefs = [], []
+        nullspace, rref = PG.nullspace, PG.rref
 
         def counted(space, rows):
             calls.append(len(rows))
             return nullspace(space, rows)
 
-        monkeypatch.setattr(PG, "nullspace", counted)
+        def counted_rref(space, rows):
+            rrefs.append(rows)
+            return rref(space, rows)
+
         ls = seeded_lineset(4, 3, 60, "dense-pg4-3")
+        monkeypatch.setattr(PG, "nullspace", counted)
+        monkeypatch.setattr(PG, "rref", counted_rref)
         cfg = AxiomConfig.from_names(["Sd", "Sd'"])
         rep = audit(ls, cfg)
         assert None not in (rep.witnesses["Sd"], rep.witnesses["Sd'"])
         assert rep.witnesses["Sd"] != rep.witnesses["Sd'"]
-        assert calls == []
+        assert calls and set(calls) == {1}
+        assert rrefs == []
         monkeypatch.undo()
         assert rep.to_dict() == naive_audit(ls, cfg).to_dict()
 

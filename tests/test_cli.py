@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hexaudit.audit as audit_module
 from hexaudit import cli
 from hexaudit.cli import main
 from hexaudit.formats import dump_lineset, load_lineset
+from hexaudit.search import SearchSpec
+from conftest import build_cached
 
 
 def run_cli(*args, cwd=None):
@@ -413,6 +418,14 @@ class TestAudit:
             ("PGLS 1\nn 2\nq 3\n+1 0 0, 0 1 0\n", "coordinates must be ASCII decimal digits"),
             ("PGLS 1\nn 2\nq 3\n0_1 0 0, 0 1 0\n", "coordinates must be ASCII decimal digits"),
             ("PGLS 1\nn 2\nq 3\n\u0661 0 0, 0 1 0\n", "coordinates must be ASCII decimal digits"),
+            # Header numbers that int() would read.
+            ("PGLS 1\nn +2\nq 3\n1 0 0, 0 1 0\n", "header field 'n' must be ASCII decimal digits"),
+            ("PGLS 1\nn 2\nq 0_3\n1 0 0, 0 1 0\n", "header field 'q' must be ASCII decimal digits"),
+            ("PGLS 1\nn \u0662\nq 3\n1 0 0, 0 1 0\n", "header field 'n' must be ASCII decimal digits"),
+            (
+                "PGLS 1\nn 2\nq 4\nmodulus +1 1 1\n1 0 0, 0 1 0\n",
+                "header field 'modulus' must be ASCII decimal digits",
+            ),
         ],
     )
     def test_audit_unusable_file_is_usage_error(self, tmp_path, capsys, text, reason):
@@ -652,6 +665,107 @@ class TestSearch:
         spec.write_text(json.dumps(doc))
         assert main(["search", "--spec", str(spec)]) == 2
         assert_one_error_line(capsys.readouterr().err, reason)
+
+
+H2_PGLS = dump_lineset(build_cached(2)).encode()
+SPEC = {"n": 2, "q": 2, "axioms": ["Pt", "Pl"], "budget": 5}
+
+# A byte edit: (position, replacement, insert or overwrite).  Digits stay
+# small, so that an edited q or n names a small space or none at all.
+EDIT_BYTES = [b"", b"0", b"1", b"2", b"3", b" ", b"\t", b",", b"\n", b"-", b"+", b"_",
+              b"x", b"e", b".", "\u0662".encode(), b"\xff", b"\x00"]
+
+
+def edits(positions, alphabet=EDIT_BYTES):
+    """Up to two byte edits at ``positions``, taken modulo the length."""
+    return st.lists(
+        st.tuples(positions, st.sampled_from(alphabet), st.booleans()), max_size=2
+    )
+
+
+def edited(data: bytes, changes) -> bytes:
+    for pos, new, insert in changes:
+        i = pos % (len(data) + 1)
+        data = data[:i] + new + data[i + (not insert):]
+    return data
+
+
+# A search spec value: small integers, so that a spec names a small space
+# and budget, numbers that name no space, and JSON values of other types.
+SPEC_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.lists(st.sampled_from(["Pt", "Pl", "Sd", "Sd'", "4d", "To", "x", 1]), max_size=3),
+    st.sampled_from(["local-swap", "pentagon", "any"]),
+    st.sampled_from([6, 17, 20, 2**70, True, None, 1.5, "2", {}]),
+)
+
+
+def run_main(argv):
+    """(exit code, stderr) of ``main`` in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def pgls_numbers(data: bytes) -> list[str]:
+    """The number tokens of a PGLS file: every token after the magic line
+    but the header keys, split at whitespace and commas."""
+    lines = [ln.strip() for ln in data.decode().splitlines() if ln.strip()]
+    rows = (ln if "," in ln else ln.partition(" ")[2] for ln in lines[1:])
+    return " ".join(rows).replace(",", " ").split()
+
+
+class TestExitCodeContract:
+    """Edited inputs through ``main``: exit 0, 1 or 2, one stderr line on
+    exit 2, never a traceback, and a PGLS file is accepted only with every
+    number in ASCII digits.  Derandomized and bounded, so that every run
+    checks the same inputs in a few seconds."""
+
+    # The header "PGLS 1\nn 6\nq 2\n" is bytes 0..14, its numbers 7..14,
+    # and the body is lines 3..65.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dropped=st.sets(st.integers(3, 65), max_size=2),
+        header=edits(st.integers(7, 20)),
+        body=edits(st.integers(0, len(H2_PGLS))),
+    )
+    @example(dropped=set(), header=[(9, b"+", True)], body=[])  # n +6
+    @example(dropped=set(), header=[(13, b"0_", True)], body=[])  # q 0_2
+    @example(dropped=set(), header=[(9, "\u0666".encode(), False)], body=[])  # an Arabic-Indic 6
+    @example(dropped=set(), header=[(14, b"\nmodulus +1 1 1", True), (13, b"4", False)], body=[])
+    def test_edited_h2_file(self, tmp_path_factory, dropped, header, body):
+        """H(2)'s file with lines dropped, then bytes edited in its header
+        and anywhere."""
+        path = tmp_path_factory.mktemp("pgls") / "h2.pgls"
+        kept = [ln for i, ln in enumerate(H2_PGLS.splitlines(keepends=True)) if i not in dropped]
+        data = edited(edited(b"".join(kept), header), body)
+        path.write_bytes(data)
+        out = path.with_suffix(".json")
+        code, err = run_main(["audit", "--in", str(path), "--out", str(out)])
+        assert_exit_contract(code, err)
+        if code != 2:  # an accepted file spells every number in ASCII digits
+            assert all(t.isascii() and t.isdigit() for t in pgls_numbers(data))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        changed=st.dictionaries(st.sampled_from([*SearchSpec._fields, "mdoe"]), SPEC_VALUES, max_size=2),
+        dropped=st.sets(st.sampled_from(["n", "q", "axioms"]), max_size=1),
+        text_edits=st.just([]) | edits(st.integers(0, 200), [b for b in EDIT_BYTES if not b.isdigit()]),
+    )
+    def test_edited_search_spec(self, tmp_path_factory, changed, dropped, text_edits):
+        doc = {k: v for k, v in {**SPEC, **changed}.items() if k not in dropped}
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_bytes(edited(json.dumps(doc).encode(), text_edits))
+        prefix = str(path.with_suffix(""))
+        assert_exit_contract(*run_main(["search", "--spec", str(path), "--out-prefix", prefix]))
 
 
 class TestParserReuse:

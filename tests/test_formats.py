@@ -79,6 +79,20 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="coordinates must be ASCII decimal digits"):
             load_lineset(f"PGLS 1\nn 2\nq 3\n{token} 0 0, 0 1 0\n")
 
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            ("n +2\nq 3", "n"),
+            ("n 2\nq 0_3", "q"),
+            ("n \u0662\nq 3", "n"),
+            ("n 2\nq 4\nmodulus +1 1 1", "modulus"),
+        ],
+    )
+    def test_header_number_not_ascii_digits(self, header, field):
+        """int() takes each of these; a PGLS header number is ASCII digits."""
+        with pytest.raises(ValueError, match=f"header field '{field}' must be ASCII decimal digits"):
+            load_lineset(f"PGLS 1\n{header}\n1 0 0, 0 1 0\n")
+
 
 class TestReports:
     def test_envelope(self):

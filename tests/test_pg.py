@@ -196,6 +196,7 @@ class TestNullspace:
         ]
         for rows in cases:
             assert space.nullspace(rows) == two_rref_nullspace(space, rows), rows
+        assert space.nullspace(()) == whole_space(space)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), key=st.sampled_from(NULLSPACE_SPACES))
